@@ -53,7 +53,7 @@ pub struct LiveStatus {
     pub progress_age: u64,
     /// Per-shard wall-clock nanoseconds stepping the fabric.
     pub shard_wall_ns: Vec<u64>,
-    /// Deliveries per kilocycle over the last [`RATE_WINDOW`].
+    /// Deliveries per kilocycle over the last `RATE_WINDOW`.
     pub progress_rate: f64,
     /// Simulated cycles per wall-clock second since the run started.
     pub cycles_per_sec: f64,
@@ -108,7 +108,7 @@ fn board() -> &'static Mutex<Board> {
 }
 
 /// Arms the board process-wide. With `echo`, a one-line status is
-/// printed to stderr every [`RATE_WINDOW`] cycles (the CLI's
+/// printed to stderr every `RATE_WINDOW` cycles (the CLI's
 /// `--live-status`).
 pub fn arm(echo: bool) {
     ECHO.store(echo, Ordering::Relaxed);

@@ -108,14 +108,11 @@ impl Value {
     /// # Errors
     /// Returns a message with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
@@ -293,19 +290,22 @@ fn write_seq(
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(
+            self.text.as_bytes().get(self.pos),
+            Some(b' ' | b'\t' | b'\n' | b'\r')
+        ) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -318,7 +318,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -413,7 +413,8 @@ impl Parser<'_> {
                         Some(b't') => s.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -431,10 +432,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so valid).
-                    let rest = &self.bytes[self.pos..];
-                    let text = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = text.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar; `pos` only ever advances
+                    // by whole scalars, so it sits on a char boundary.
+                    let c = self.text[self.pos..].chars().next().expect("non-empty");
                     s.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -453,8 +453,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("invalid number at byte {start}"))
     }
@@ -533,5 +533,16 @@ mod tests {
     fn unicode_passthrough() {
         let v = Value::Str("ñandú — ∞".into());
         assert_eq!(Value::parse(&v.compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_utf8_roundtrips() {
+        // 2-, 3- and 4-byte scalars, in keys and values, next to escapes.
+        let text = "{\"ñ\":\"é€😀\",\"k€y\":[\"a😀\\n\u{10FFFF}\"]}";
+        let v = Value::parse(text).unwrap();
+        assert_eq!(v["ñ"], "é€😀");
+        assert_eq!(v["k€y"][0], "a😀\n\u{10FFFF}");
+        assert_eq!(v.compact(), text);
+        assert_eq!(Value::parse(&v.pretty()).unwrap(), v);
     }
 }

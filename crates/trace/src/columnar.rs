@@ -28,6 +28,7 @@
 //! loses at most its trailing frame, and frames decode with bounded
 //! memory.
 
+use crate::schema::{FieldSink, FieldSource};
 use crate::stream::ChunkEncoder;
 use crate::{PlaneId, TraceEvent, TraceRecord, TraceSink};
 
@@ -38,7 +39,12 @@ pub const MAGIC: [u8; 8] = *b"WSTRACE1";
 const FLAG_EXPLICIT_SEQ: u8 = 0x01;
 
 /// Kind-tag bit carrying the variant's boolean field (`force`/`misroute`).
-const TAG_BOOL: u8 = 0x40;
+///
+/// Kind tags come from the schema table ([`crate::schema`]): `plane_tick`
+/// folds its plane into the tag, so the 23 enum variants span 25 tag
+/// values below this bit. Tags are part of the on-disk format: append
+/// only.
+pub(crate) const TAG_BOOL: u8 = 0x40;
 
 // ---------------------------------------------------------------------
 // Varint primitives
@@ -91,38 +97,6 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
         shift += 7;
     }
 }
-
-// ---------------------------------------------------------------------
-// Kind tags
-// ---------------------------------------------------------------------
-
-// `PlaneTick` folds its plane into the tag, so 22 enum variants become 24
-// tag values. Tags are part of the on-disk format: append only.
-const T_TICK_DATA: u8 = 0;
-const T_TICK_CTRL: u8 = 1;
-const T_TICK_CIRC: u8 = 2;
-const T_PROBE_LAUNCH: u8 = 3;
-const T_PROBE_HOP: u8 = 4;
-const T_PROBE_BACKTRACK: u8 = 5;
-const T_PROBE_PARK: u8 = 6;
-const T_PROBE_REACHED: u8 = 7;
-const T_PROBE_EXHAUSTED: u8 = 8;
-const T_CIRCUIT_ESTABLISHED: u8 = 9;
-const T_CIRCUIT_RELEASED: u8 = 10;
-const T_CIRCUIT_ABANDONED: u8 = 11;
-const T_FORCED_RELEASE: u8 = 12;
-const T_CACHE_HIT: u8 = 13;
-const T_CACHE_MISS: u8 = 14;
-const T_CACHE_EVICT: u8 = 15;
-const T_TRANSFER_START: u8 = 16;
-const T_WORMHOLE_INJECT: u8 = 17;
-const T_WORMHOLE_DELIVER: u8 = 18;
-const T_CIRCUIT_DELIVER: u8 = 19;
-const T_LANE_FAULT: u8 = 20;
-const T_LANE_REPAIR: u8 = 21;
-const T_CIRCUIT_BROKEN: u8 = 22;
-const T_ESTABLISH_RETRY: u8 = 23;
-const T_WATCHDOG_TRIP: u8 = 24;
 
 // ---------------------------------------------------------------------
 // Per-frame id interner
@@ -255,8 +229,13 @@ impl FrameEncoder {
         let mut prev_at = recs[0].at;
         let mut prev_seq = recs[0].seq;
         for rec in recs {
-            let (tag, flag) = encode_event(&rec.ev, &mut self.payload, interner);
-            self.kinds.push(if flag { tag | TAG_BOOL } else { tag });
+            let mut fields = PayloadSink {
+                tag: rec.ev.base_tag(),
+                payload: &mut self.payload,
+                ids: interner,
+            };
+            rec.ev.visit(&mut fields);
+            self.kinds.push(fields.tag);
             push_varint(
                 &mut self.cycles,
                 zigzag(rec.at.wrapping_sub(prev_at) as i64),
@@ -302,223 +281,31 @@ impl ChunkEncoder for FrameEncoder {
     }
 }
 
-/// Appends the payload fields of `ev` and returns `(tag, bool_flag)`.
-#[inline]
-fn encode_event(ev: &TraceEvent, p: &mut Vec<u8>, ids: &mut Interner) -> (u8, bool) {
-    match *ev {
-        TraceEvent::PlaneTick { plane } => (
-            match plane {
-                PlaneId::Data => T_TICK_DATA,
-                PlaneId::Control => T_TICK_CTRL,
-                PlaneId::Circuit => T_TICK_CIRC,
-            },
-            false,
-        ),
-        TraceEvent::ProbeLaunch {
-            circuit,
-            src,
-            dest,
-            switch,
-            force,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(switch));
-            (T_PROBE_LAUNCH, force)
+/// Appends an event's fields to the payload column, folding the bool and
+/// plane fields into its kind tag.
+struct PayloadSink<'a> {
+    tag: u8,
+    payload: &'a mut Vec<u8>,
+    ids: &'a mut Interner,
+}
+
+impl FieldSink for PayloadSink<'_> {
+    fn id(&mut self, _: &'static str, v: u64) {
+        push_varint(self.payload, self.ids.intern(v));
+    }
+
+    fn u64(&mut self, _: &'static str, v: u64) {
+        push_varint(self.payload, v);
+    }
+
+    fn bool(&mut self, _: &'static str, v: bool) {
+        if v {
+            self.tag |= TAG_BOOL;
         }
-        TraceEvent::ProbeHop {
-            circuit,
-            probe,
-            node,
-            link,
-            misroute,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(link));
-            (T_PROBE_HOP, misroute)
-        }
-        TraceEvent::ProbeBacktrack {
-            circuit,
-            probe,
-            node,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(node));
-            (T_PROBE_BACKTRACK, false)
-        }
-        TraceEvent::ProbePark {
-            circuit,
-            probe,
-            node,
-            victim,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(node));
-            push_varint(p, ids.intern(victim));
-            (T_PROBE_PARK, false)
-        }
-        TraceEvent::ProbeReached {
-            circuit,
-            probe,
-            dest,
-            steps,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(probe));
-            push_varint(p, u64::from(dest));
-            push_varint(p, steps);
-            (T_PROBE_REACHED, false)
-        }
-        TraceEvent::ProbeExhausted {
-            circuit,
-            src,
-            switch,
-            force,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(switch));
-            (T_PROBE_EXHAUSTED, force)
-        }
-        TraceEvent::CircuitEstablished {
-            circuit,
-            src,
-            dest,
-            hops,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(hops));
-            (T_CIRCUIT_ESTABLISHED, false)
-        }
-        TraceEvent::CircuitReleased { circuit } => {
-            push_varint(p, ids.intern(circuit));
-            (T_CIRCUIT_RELEASED, false)
-        }
-        TraceEvent::CircuitAbandoned { circuit } => {
-            push_varint(p, ids.intern(circuit));
-            (T_CIRCUIT_ABANDONED, false)
-        }
-        TraceEvent::ForcedRelease { circuit, src } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            (T_FORCED_RELEASE, false)
-        }
-        TraceEvent::CacheHit {
-            node,
-            dest,
-            circuit,
-        } => {
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(dest));
-            push_varint(p, ids.intern(circuit));
-            (T_CACHE_HIT, false)
-        }
-        TraceEvent::CacheMiss { node, dest } => {
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(dest));
-            (T_CACHE_MISS, false)
-        }
-        TraceEvent::CacheEvict {
-            node,
-            victim_dest,
-            circuit,
-        } => {
-            push_varint(p, u64::from(node));
-            push_varint(p, u64::from(victim_dest));
-            push_varint(p, ids.intern(circuit));
-            (T_CACHE_EVICT, false)
-        }
-        TraceEvent::TransferStart {
-            circuit,
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(len_flits));
-            (T_TRANSFER_START, false)
-        }
-        TraceEvent::WormholeInject {
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(len_flits));
-            (T_WORMHOLE_INJECT, false)
-        }
-        TraceEvent::WormholeDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, latency);
-            (T_WORMHOLE_DELIVER, false)
-        }
-        TraceEvent::CircuitDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            push_varint(p, ids.intern(msg));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, latency);
-            (T_CIRCUIT_DELIVER, false)
-        }
-        TraceEvent::LaneFault { link, switch } => {
-            push_varint(p, u64::from(link));
-            push_varint(p, u64::from(switch));
-            (T_LANE_FAULT, false)
-        }
-        TraceEvent::LaneRepair { link, switch } => {
-            push_varint(p, u64::from(link));
-            push_varint(p, u64::from(switch));
-            (T_LANE_REPAIR, false)
-        }
-        TraceEvent::CircuitBroken { circuit, src, dest } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            (T_CIRCUIT_BROKEN, false)
-        }
-        TraceEvent::EstablishRetry {
-            circuit,
-            src,
-            dest,
-            attempt,
-        } => {
-            push_varint(p, ids.intern(circuit));
-            push_varint(p, u64::from(src));
-            push_varint(p, u64::from(dest));
-            push_varint(p, u64::from(attempt));
-            (T_ESTABLISH_RETRY, false)
-        }
-        TraceEvent::WatchdogTrip { rule, value, limit } => {
-            push_varint(p, u64::from(rule));
-            push_varint(p, value);
-            push_varint(p, limit);
-            (T_WATCHDOG_TRIP, false)
-        }
+    }
+
+    fn plane(&mut self, _: &'static str, v: PlaneId) {
+        self.tag += v as u8;
     }
 }
 
@@ -850,149 +637,54 @@ pub fn read_columnar(bytes: &[u8]) -> Result<Vec<TraceRecord>, String> {
     ColumnarReader::new(bytes)?.read_all()
 }
 
-/// Decodes the payload fields of one record.
-fn decode_event(tag: u8, b: &[u8], pos: &mut usize, dict: &[u64]) -> Result<TraceEvent, String> {
-    let flag = tag & TAG_BOOL != 0;
-    let id = |pos: &mut usize| -> Result<u64, String> {
-        let idx = read_varint(b, pos)? as usize;
-        dict.get(idx)
+/// Reads an event's fields from the payload column; the bool and plane
+/// fields come from the kind tag.
+struct PayloadSource<'a> {
+    payload: &'a [u8],
+    pos: &'a mut usize,
+    dict: &'a [u64],
+    /// The tag's bool bit; a `bool` field consumes (clears) it.
+    flag: bool,
+}
+
+impl FieldSource for PayloadSource<'_> {
+    fn id(&mut self, _: &'static str) -> Result<u64, String> {
+        let idx = read_varint(self.payload, self.pos)? as usize;
+        self.dict
+            .get(idx)
             .copied()
             .ok_or_else(|| format!("id index {idx} outside frame dictionary"))
+    }
+
+    fn u64(&mut self, _: &'static str) -> Result<u64, String> {
+        read_varint(self.payload, self.pos)
+    }
+
+    fn bool(&mut self, _: &'static str) -> Result<bool, String> {
+        Ok(std::mem::take(&mut self.flag))
+    }
+
+    fn plane(&mut self, _: &'static str, folded: u8) -> Result<PlaneId, String> {
+        Ok(PlaneId::ALL[usize::from(folded)])
+    }
+}
+
+/// Decodes the payload fields of one record.
+fn decode_event(tag: u8, b: &[u8], pos: &mut usize, dict: &[u64]) -> Result<TraceEvent, String> {
+    let mut src = PayloadSource {
+        payload: b,
+        pos,
+        dict,
+        flag: tag & TAG_BOOL != 0,
     };
-    macro_rules! n32 {
-        ($pos:expr) => {
-            u32::try_from(read_varint(b, $pos)?).map_err(|_| "field out of u32 range")?
-        };
+    let ev = TraceEvent::decode_tag(tag & !TAG_BOOL, &mut src)?;
+    if src.flag {
+        return Err(format!(
+            "kind tag 0x{tag:02x} sets the flag bit but `{}` has no flag",
+            ev.kind()
+        ));
     }
-    macro_rules! n8 {
-        ($pos:expr) => {
-            u8::try_from(read_varint(b, $pos)?).map_err(|_| "field out of u8 range")?
-        };
-    }
-    Ok(match tag & !TAG_BOOL {
-        T_TICK_DATA => TraceEvent::PlaneTick {
-            plane: PlaneId::Data,
-        },
-        T_TICK_CTRL => TraceEvent::PlaneTick {
-            plane: PlaneId::Control,
-        },
-        T_TICK_CIRC => TraceEvent::PlaneTick {
-            plane: PlaneId::Circuit,
-        },
-        T_PROBE_LAUNCH => TraceEvent::ProbeLaunch {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            switch: n8!(pos),
-            force: flag,
-        },
-        T_PROBE_HOP => TraceEvent::ProbeHop {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            node: n32!(pos),
-            link: n32!(pos),
-            misroute: flag,
-        },
-        T_PROBE_BACKTRACK => TraceEvent::ProbeBacktrack {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            node: n32!(pos),
-        },
-        T_PROBE_PARK => TraceEvent::ProbePark {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            node: n32!(pos),
-            victim: id(pos)?,
-        },
-        T_PROBE_REACHED => TraceEvent::ProbeReached {
-            circuit: id(pos)?,
-            probe: id(pos)?,
-            dest: n32!(pos),
-            steps: read_varint(b, pos)?,
-        },
-        T_PROBE_EXHAUSTED => TraceEvent::ProbeExhausted {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            switch: n8!(pos),
-            force: flag,
-        },
-        T_CIRCUIT_ESTABLISHED => TraceEvent::CircuitEstablished {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            hops: n32!(pos),
-        },
-        T_CIRCUIT_RELEASED => TraceEvent::CircuitReleased { circuit: id(pos)? },
-        T_CIRCUIT_ABANDONED => TraceEvent::CircuitAbandoned { circuit: id(pos)? },
-        T_FORCED_RELEASE => TraceEvent::ForcedRelease {
-            circuit: id(pos)?,
-            src: n32!(pos),
-        },
-        T_CACHE_HIT => TraceEvent::CacheHit {
-            node: n32!(pos),
-            dest: n32!(pos),
-            circuit: id(pos)?,
-        },
-        T_CACHE_MISS => TraceEvent::CacheMiss {
-            node: n32!(pos),
-            dest: n32!(pos),
-        },
-        T_CACHE_EVICT => TraceEvent::CacheEvict {
-            node: n32!(pos),
-            victim_dest: n32!(pos),
-            circuit: id(pos)?,
-        },
-        T_TRANSFER_START => TraceEvent::TransferStart {
-            circuit: id(pos)?,
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            len_flits: n32!(pos),
-        },
-        T_WORMHOLE_INJECT => TraceEvent::WormholeInject {
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            len_flits: n32!(pos),
-        },
-        T_WORMHOLE_DELIVER => TraceEvent::WormholeDeliver {
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            latency: read_varint(b, pos)?,
-        },
-        T_CIRCUIT_DELIVER => TraceEvent::CircuitDeliver {
-            msg: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            latency: read_varint(b, pos)?,
-        },
-        T_LANE_FAULT => TraceEvent::LaneFault {
-            link: n32!(pos),
-            switch: n8!(pos),
-        },
-        T_LANE_REPAIR => TraceEvent::LaneRepair {
-            link: n32!(pos),
-            switch: n8!(pos),
-        },
-        T_CIRCUIT_BROKEN => TraceEvent::CircuitBroken {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-        },
-        T_ESTABLISH_RETRY => TraceEvent::EstablishRetry {
-            circuit: id(pos)?,
-            src: n32!(pos),
-            dest: n32!(pos),
-            attempt: n8!(pos),
-        },
-        T_WATCHDOG_TRIP => TraceEvent::WatchdogTrip {
-            rule: n8!(pos),
-            value: read_varint(b, pos)?,
-            limit: read_varint(b, pos)?,
-        },
-        other => return Err(format!("unknown kind tag {other}")),
-    })
+    Ok(ev)
 }
 
 #[cfg(test)]
@@ -1094,5 +786,26 @@ mod tests {
         let cut = &bytes[..bytes.len() - 1];
         assert!(read_columnar(cut).is_err());
         assert!(read_columnar(b"JUNKDATA").is_err());
+    }
+
+    #[test]
+    fn flag_bit_on_a_flagless_kind_is_rejected() {
+        let rec = TraceRecord {
+            at: 5,
+            seq: 0,
+            ev: TraceEvent::CacheMiss { node: 1, dest: 2 },
+        };
+        let mut enc = FrameEncoder::new();
+        let mut bytes = Vec::new();
+        enc.header(&mut bytes);
+        enc.encode_frame(&[rec], &mut bytes);
+        assert_eq!(read_columnar(&bytes).unwrap(), vec![rec]);
+        // Magic, then n, flags, first_at, first_seq, dict_len, kinds_len
+        // (one byte each here), then the record's kind tag.
+        let tag = MAGIC.len() + 6;
+        assert_eq!(bytes[tag], rec.ev.base_tag());
+        bytes[tag] |= TAG_BOOL;
+        let err = read_columnar(&bytes).unwrap_err();
+        assert!(err.contains("flag"), "{err}");
     }
 }

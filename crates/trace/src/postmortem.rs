@@ -24,7 +24,8 @@
 
 use wavesim_json::Value;
 
-use crate::{TraceEvent, TraceRecord};
+use crate::schema::FieldSink;
+use crate::{PlaneId, TraceEvent, TraceRecord};
 
 /// A wait-for-graph vertex as raw integers: `(link id, virtual lane)`.
 pub type RawWaitVc = (u32, u16);
@@ -33,194 +34,37 @@ fn vc_json(vc: RawWaitVc) -> Value {
     Value::Arr(vec![vc.0.into(), u64::from(vc.1).into()])
 }
 
+/// Collects an event's fields as JSON object pairs.
+struct ValueFields(Vec<(&'static str, Value)>);
+
+impl FieldSink for ValueFields {
+    fn id(&mut self, name: &'static str, v: u64) {
+        self.u64(name, v);
+    }
+
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.0.push((name, v.into()));
+    }
+
+    fn bool(&mut self, name: &'static str, v: bool) {
+        self.0.push((name, v.into()));
+    }
+
+    fn plane(&mut self, name: &'static str, v: PlaneId) {
+        self.0.push((name, v.name().into()));
+    }
+}
+
 /// Serializes one trace record as `{at, seq, type, ...fields}`.
 #[must_use]
 pub fn record_to_json(rec: &TraceRecord) -> Value {
-    let mut pairs: Vec<(&str, Value)> = vec![
+    let mut fields = ValueFields(vec![
         ("at", rec.at.into()),
         ("seq", rec.seq.into()),
         ("type", rec.ev.kind().into()),
-    ];
-    match rec.ev {
-        TraceEvent::PlaneTick { plane } => {
-            pairs.push(("plane", plane.name().into()));
-        }
-        TraceEvent::ProbeLaunch {
-            circuit,
-            src,
-            dest,
-            switch,
-            force,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("switch", u64::from(switch).into()));
-            pairs.push(("force", force.into()));
-        }
-        TraceEvent::ProbeHop {
-            circuit,
-            probe,
-            node,
-            link,
-            misroute,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("probe", probe.into()));
-            pairs.push(("node", node.into()));
-            pairs.push(("link", link.into()));
-            pairs.push(("misroute", misroute.into()));
-        }
-        TraceEvent::ProbeBacktrack {
-            circuit,
-            probe,
-            node,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("probe", probe.into()));
-            pairs.push(("node", node.into()));
-        }
-        TraceEvent::ProbePark {
-            circuit,
-            probe,
-            node,
-            victim,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("probe", probe.into()));
-            pairs.push(("node", node.into()));
-            pairs.push(("victim", victim.into()));
-        }
-        TraceEvent::ProbeReached {
-            circuit,
-            probe,
-            dest,
-            steps,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("probe", probe.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("steps", steps.into()));
-        }
-        TraceEvent::ProbeExhausted {
-            circuit,
-            src,
-            switch,
-            force,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("switch", u64::from(switch).into()));
-            pairs.push(("force", force.into()));
-        }
-        TraceEvent::CircuitEstablished {
-            circuit,
-            src,
-            dest,
-            hops,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("hops", hops.into()));
-        }
-        TraceEvent::CircuitReleased { circuit } | TraceEvent::CircuitAbandoned { circuit } => {
-            pairs.push(("circuit", circuit.into()));
-        }
-        TraceEvent::ForcedRelease { circuit, src } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("src", src.into()));
-        }
-        TraceEvent::CacheHit {
-            node,
-            dest,
-            circuit,
-        } => {
-            pairs.push(("node", node.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("circuit", circuit.into()));
-        }
-        TraceEvent::CacheMiss { node, dest } => {
-            pairs.push(("node", node.into()));
-            pairs.push(("dest", dest.into()));
-        }
-        TraceEvent::CacheEvict {
-            node,
-            victim_dest,
-            circuit,
-        } => {
-            pairs.push(("node", node.into()));
-            pairs.push(("victim_dest", victim_dest.into()));
-            pairs.push(("circuit", circuit.into()));
-        }
-        TraceEvent::TransferStart {
-            circuit,
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("msg", msg.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("len_flits", len_flits.into()));
-        }
-        TraceEvent::WormholeInject {
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            pairs.push(("msg", msg.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("len_flits", len_flits.into()));
-        }
-        TraceEvent::WormholeDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        }
-        | TraceEvent::CircuitDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            pairs.push(("msg", msg.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("latency", latency.into()));
-        }
-        TraceEvent::LaneFault { link, switch } | TraceEvent::LaneRepair { link, switch } => {
-            pairs.push(("link", link.into()));
-            pairs.push(("switch", u64::from(switch).into()));
-        }
-        TraceEvent::CircuitBroken { circuit, src, dest } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-        }
-        TraceEvent::EstablishRetry {
-            circuit,
-            src,
-            dest,
-            attempt,
-        } => {
-            pairs.push(("circuit", circuit.into()));
-            pairs.push(("src", src.into()));
-            pairs.push(("dest", dest.into()));
-            pairs.push(("attempt", u64::from(attempt).into()));
-        }
-        TraceEvent::WatchdogTrip { rule, value, limit } => {
-            pairs.push(("rule", u64::from(rule).into()));
-            pairs.push(("value", value.into()));
-            pairs.push(("limit", limit.into()));
-        }
-    }
-    Value::obj(pairs)
+    ]);
+    rec.ev.visit(&mut fields);
+    Value::obj(fields.0)
 }
 
 /// The fabric's state at the moment the stall watchdog fired.
@@ -351,126 +195,5 @@ mod tests {
         let doc = bundle(&[], 0, 0, &ctx);
         assert_eq!(doc["wait_for"]["cycle"], Value::Null);
         assert!(doc["recorder"]["records"].as_array().unwrap().is_empty());
-    }
-
-    #[test]
-    fn every_event_kind_serializes() {
-        use crate::PlaneId;
-        let evs = [
-            TraceEvent::PlaneTick {
-                plane: PlaneId::Data,
-            },
-            TraceEvent::ProbeLaunch {
-                circuit: 1,
-                src: 0,
-                dest: 1,
-                switch: 1,
-                force: true,
-            },
-            TraceEvent::ProbeHop {
-                circuit: 1,
-                probe: 1,
-                node: 1,
-                link: 0,
-                misroute: false,
-            },
-            TraceEvent::ProbeBacktrack {
-                circuit: 1,
-                probe: 1,
-                node: 0,
-            },
-            TraceEvent::ProbePark {
-                circuit: 1,
-                probe: 1,
-                node: 0,
-                victim: 2,
-            },
-            TraceEvent::ProbeReached {
-                circuit: 1,
-                probe: 1,
-                dest: 1,
-                steps: 4,
-            },
-            TraceEvent::ProbeExhausted {
-                circuit: 1,
-                src: 0,
-                switch: 2,
-                force: false,
-            },
-            TraceEvent::CircuitEstablished {
-                circuit: 1,
-                src: 0,
-                dest: 1,
-                hops: 2,
-            },
-            TraceEvent::CircuitReleased { circuit: 1 },
-            TraceEvent::CircuitAbandoned { circuit: 1 },
-            TraceEvent::ForcedRelease { circuit: 1, src: 0 },
-            TraceEvent::CacheHit {
-                node: 0,
-                dest: 1,
-                circuit: 1,
-            },
-            TraceEvent::CacheMiss { node: 0, dest: 1 },
-            TraceEvent::CacheEvict {
-                node: 0,
-                victim_dest: 1,
-                circuit: 1,
-            },
-            TraceEvent::TransferStart {
-                circuit: 1,
-                msg: 1,
-                src: 0,
-                dest: 1,
-                len_flits: 8,
-            },
-            TraceEvent::WormholeInject {
-                msg: 1,
-                src: 0,
-                dest: 1,
-                len_flits: 8,
-            },
-            TraceEvent::WormholeDeliver {
-                msg: 1,
-                src: 0,
-                dest: 1,
-                latency: 9,
-            },
-            TraceEvent::CircuitDeliver {
-                msg: 1,
-                src: 0,
-                dest: 1,
-                latency: 9,
-            },
-            TraceEvent::LaneFault { link: 3, switch: 1 },
-            TraceEvent::LaneRepair { link: 3, switch: 1 },
-            TraceEvent::CircuitBroken {
-                circuit: 1,
-                src: 0,
-                dest: 1,
-            },
-            TraceEvent::EstablishRetry {
-                circuit: 2,
-                src: 0,
-                dest: 1,
-                attempt: 1,
-            },
-            TraceEvent::WatchdogTrip {
-                rule: 1,
-                value: 9000,
-                limit: 4096,
-            },
-        ];
-        for (i, ev) in evs.iter().enumerate() {
-            let rec = TraceRecord {
-                at: i as u64,
-                seq: i as u64,
-                ev: *ev,
-            };
-            let json = record_to_json(&rec);
-            assert_eq!(json["type"].as_str(), Some(ev.kind()), "event {i}");
-            let reparsed = Value::parse(&json.compact()).expect("valid json");
-            assert_eq!(reparsed["at"].as_u64(), Some(i as u64));
-        }
     }
 }

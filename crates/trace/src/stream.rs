@@ -40,6 +40,7 @@ use std::thread::JoinHandle;
 use wavesim_json::Value;
 
 use crate::columnar::FrameEncoder;
+use crate::schema::{FieldSink, FieldSource};
 use crate::{PlaneId, TraceEvent, TraceRecord, TraceSink};
 
 /// Records per chunk handed to the writer thread (also the columnar
@@ -238,20 +239,11 @@ impl<W: Write + Send + 'static, E: ChunkEncoder> StreamSink<W, E> {
     }
 }
 
-/// True for the high-volume kinds [`StreamSink::with_sampling`] thins:
-/// per-cycle tick markers, per-hop probe movement, and cache lookups.
-/// Everything else (circuit lifecycle, transfers, deliveries, faults) is
-/// always captured so span and flow analytics stay exact under sampling.
+/// True for the kinds [`StreamSink::with_sampling`] thins; see
+/// [`TraceEvent::is_bulk`].
 #[must_use]
 pub fn is_bulk_kind(ev: &TraceEvent) -> bool {
-    matches!(
-        ev,
-        TraceEvent::PlaneTick { .. }
-            | TraceEvent::ProbeHop { .. }
-            | TraceEvent::ProbeBacktrack { .. }
-            | TraceEvent::CacheHit { .. }
-            | TraceEvent::CacheMiss { .. }
-    )
+    ev.is_bulk()
 }
 
 impl<W: Write + Send + 'static, E: ChunkEncoder> TraceSink for StreamSink<W, E> {
@@ -597,12 +589,6 @@ pub fn stream_trace_file(path: &Path) -> Result<StreamingReader<File>, String> {
 // JSONL encode/decode
 // ---------------------------------------------------------------------
 
-/// A field value the fast encoder knows how to append. Implemented for
-/// the handful of primitive types [`TraceEvent`] fields use.
-trait PushJson {
-    fn push_json(self, buf: &mut String);
-}
-
 /// Appends `v` in decimal without going through `core::fmt` — the
 /// formatting machinery costs ~3× the digits themselves, and the writer
 /// thread encodes every record of a traced run.
@@ -621,39 +607,39 @@ fn push_u64(buf: &mut String, mut v: u64) {
     buf.push_str(std::str::from_utf8(&tmp[i..]).expect("ascii digits"));
 }
 
-impl PushJson for u64 {
-    fn push_json(self, buf: &mut String) {
-        push_u64(buf, self);
+/// Appends each field as `,"<name>":<value>`; the JSON key is the
+/// field's own name, matching `postmortem::record_to_json`.
+struct JsonFields<'a>(&'a mut String);
+
+impl JsonFields<'_> {
+    fn key(&mut self, name: &str) {
+        self.0.push_str(",\"");
+        self.0.push_str(name);
+        self.0.push_str("\":");
     }
 }
 
-impl PushJson for u32 {
-    fn push_json(self, buf: &mut String) {
-        push_u64(buf, u64::from(self));
+impl FieldSink for JsonFields<'_> {
+    fn id(&mut self, name: &'static str, v: u64) {
+        self.u64(name, v);
     }
-}
 
-impl PushJson for u8 {
-    fn push_json(self, buf: &mut String) {
-        push_u64(buf, u64::from(self));
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.key(name);
+        push_u64(self.0, v);
     }
-}
 
-impl PushJson for bool {
-    fn push_json(self, buf: &mut String) {
-        buf.push_str(if self { "true" } else { "false" });
+    fn bool(&mut self, name: &'static str, v: bool) {
+        self.key(name);
+        self.0.push_str(if v { "true" } else { "false" });
     }
-}
 
-/// Appends `,"<name>":<value>` for each listed field binding; the JSON
-/// key is the field's own name, matching `postmortem::record_to_json`.
-macro_rules! push_fields {
-    ($buf:expr $(, $field:ident)+ $(,)?) => {
-        $(
-            $buf.push_str(concat!(",\"", stringify!($field), "\":"));
-            $field.push_json($buf);
-        )+
-    };
+    fn plane(&mut self, name: &'static str, v: PlaneId) {
+        self.key(name);
+        self.0.push('"');
+        self.0.push_str(v.name());
+        self.0.push('"');
+    }
 }
 
 /// Appends one record as a compact JSON object (no trailing newline).
@@ -670,142 +656,40 @@ pub fn encode_record(buf: &mut String, rec: &TraceRecord) {
     buf.push_str(",\"type\":\"");
     buf.push_str(rec.ev.kind());
     buf.push('"');
-    match rec.ev {
-        TraceEvent::PlaneTick { plane } => {
-            buf.push_str(",\"plane\":\"");
-            buf.push_str(plane.name());
-            buf.push('"');
-        }
-        TraceEvent::ProbeLaunch {
-            circuit,
-            src,
-            dest,
-            switch,
-            force,
-        } => {
-            push_fields!(buf, circuit, src, dest, switch, force);
-        }
-        TraceEvent::ProbeHop {
-            circuit,
-            probe,
-            node,
-            link,
-            misroute,
-        } => {
-            push_fields!(buf, circuit, probe, node, link, misroute);
-        }
-        TraceEvent::ProbeBacktrack {
-            circuit,
-            probe,
-            node,
-        } => {
-            push_fields!(buf, circuit, probe, node);
-        }
-        TraceEvent::ProbePark {
-            circuit,
-            probe,
-            node,
-            victim,
-        } => {
-            push_fields!(buf, circuit, probe, node, victim);
-        }
-        TraceEvent::ProbeReached {
-            circuit,
-            probe,
-            dest,
-            steps,
-        } => {
-            push_fields!(buf, circuit, probe, dest, steps);
-        }
-        TraceEvent::ProbeExhausted {
-            circuit,
-            src,
-            switch,
-            force,
-        } => {
-            push_fields!(buf, circuit, src, switch, force);
-        }
-        TraceEvent::CircuitEstablished {
-            circuit,
-            src,
-            dest,
-            hops,
-        } => {
-            push_fields!(buf, circuit, src, dest, hops);
-        }
-        TraceEvent::CircuitReleased { circuit } | TraceEvent::CircuitAbandoned { circuit } => {
-            push_fields!(buf, circuit);
-        }
-        TraceEvent::ForcedRelease { circuit, src } => {
-            push_fields!(buf, circuit, src);
-        }
-        TraceEvent::CacheHit {
-            node,
-            dest,
-            circuit,
-        } => {
-            push_fields!(buf, node, dest, circuit);
-        }
-        TraceEvent::CacheMiss { node, dest } => {
-            push_fields!(buf, node, dest);
-        }
-        TraceEvent::CacheEvict {
-            node,
-            victim_dest,
-            circuit,
-        } => {
-            push_fields!(buf, node, victim_dest, circuit);
-        }
-        TraceEvent::TransferStart {
-            circuit,
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_fields!(buf, circuit, msg, src, dest, len_flits);
-        }
-        TraceEvent::WormholeInject {
-            msg,
-            src,
-            dest,
-            len_flits,
-        } => {
-            push_fields!(buf, msg, src, dest, len_flits);
-        }
-        TraceEvent::WormholeDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        }
-        | TraceEvent::CircuitDeliver {
-            msg,
-            src,
-            dest,
-            latency,
-        } => {
-            push_fields!(buf, msg, src, dest, latency);
-        }
-        TraceEvent::LaneFault { link, switch } | TraceEvent::LaneRepair { link, switch } => {
-            push_fields!(buf, link, switch);
-        }
-        TraceEvent::CircuitBroken { circuit, src, dest } => {
-            push_fields!(buf, circuit, src, dest);
-        }
-        TraceEvent::EstablishRetry {
-            circuit,
-            src,
-            dest,
-            attempt,
-        } => {
-            push_fields!(buf, circuit, src, dest, attempt);
-        }
-        TraceEvent::WatchdogTrip { rule, value, limit } => {
-            push_fields!(buf, rule, value, limit);
-        }
-    }
+    rec.ev.visit(&mut JsonFields(buf));
     buf.push('}');
+}
+
+/// Reads an event's fields from one parsed JSONL object by key.
+struct JsonSource<'a>(&'a Value);
+
+impl FieldSource for JsonSource<'_> {
+    fn id(&mut self, name: &'static str) -> Result<u64, String> {
+        num(self.0, name)
+    }
+
+    fn u64(&mut self, name: &'static str) -> Result<u64, String> {
+        num(self.0, name)
+    }
+
+    fn bool(&mut self, name: &'static str) -> Result<bool, String> {
+        self.0
+            .get(name)
+            .and_then(Value::as_bool)
+            .ok_or_else(|| format!("missing or non-bool field `{name}`"))
+    }
+
+    fn plane(&mut self, name: &'static str, _folded: u8) -> Result<PlaneId, String> {
+        let text = self
+            .0
+            .get(name)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("missing or non-string field `{name}`"))?;
+        PlaneId::ALL
+            .into_iter()
+            .find(|p| p.name() == text)
+            .ok_or_else(|| format!("unknown plane `{text}`"))
+    }
 }
 
 /// Parses one JSONL object back into a [`TraceRecord`].
@@ -819,128 +703,7 @@ pub fn record_from_json(v: &Value) -> Result<TraceRecord, String> {
         .get("type")
         .and_then(Value::as_str)
         .ok_or("missing `type` field")?;
-    let ev = match kind {
-        "plane_tick" => TraceEvent::PlaneTick {
-            plane: plane_from_name(txt(v, "plane")?)?,
-        },
-        "probe_launch" => TraceEvent::ProbeLaunch {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            switch: num8(v, "switch")?,
-            force: flag(v, "force")?,
-        },
-        "probe_hop" => TraceEvent::ProbeHop {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            node: num32(v, "node")?,
-            link: num32(v, "link")?,
-            misroute: flag(v, "misroute")?,
-        },
-        "probe_backtrack" => TraceEvent::ProbeBacktrack {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            node: num32(v, "node")?,
-        },
-        "probe_park" => TraceEvent::ProbePark {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            node: num32(v, "node")?,
-            victim: num(v, "victim")?,
-        },
-        "probe_reached" => TraceEvent::ProbeReached {
-            circuit: num(v, "circuit")?,
-            probe: num(v, "probe")?,
-            dest: num32(v, "dest")?,
-            steps: num(v, "steps")?,
-        },
-        "probe_exhausted" => TraceEvent::ProbeExhausted {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            switch: num8(v, "switch")?,
-            force: flag(v, "force")?,
-        },
-        "circuit_established" => TraceEvent::CircuitEstablished {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            hops: num32(v, "hops")?,
-        },
-        "circuit_released" => TraceEvent::CircuitReleased {
-            circuit: num(v, "circuit")?,
-        },
-        "circuit_abandoned" => TraceEvent::CircuitAbandoned {
-            circuit: num(v, "circuit")?,
-        },
-        "forced_release" => TraceEvent::ForcedRelease {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-        },
-        "cache_hit" => TraceEvent::CacheHit {
-            node: num32(v, "node")?,
-            dest: num32(v, "dest")?,
-            circuit: num(v, "circuit")?,
-        },
-        "cache_miss" => TraceEvent::CacheMiss {
-            node: num32(v, "node")?,
-            dest: num32(v, "dest")?,
-        },
-        "cache_evict" => TraceEvent::CacheEvict {
-            node: num32(v, "node")?,
-            victim_dest: num32(v, "victim_dest")?,
-            circuit: num(v, "circuit")?,
-        },
-        "transfer_start" => TraceEvent::TransferStart {
-            circuit: num(v, "circuit")?,
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            len_flits: num32(v, "len_flits")?,
-        },
-        "wormhole_inject" => TraceEvent::WormholeInject {
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            len_flits: num32(v, "len_flits")?,
-        },
-        "wormhole_deliver" => TraceEvent::WormholeDeliver {
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            latency: num(v, "latency")?,
-        },
-        "circuit_deliver" => TraceEvent::CircuitDeliver {
-            msg: num(v, "msg")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            latency: num(v, "latency")?,
-        },
-        "lane_fault" => TraceEvent::LaneFault {
-            link: num32(v, "link")?,
-            switch: num8(v, "switch")?,
-        },
-        "lane_repair" => TraceEvent::LaneRepair {
-            link: num32(v, "link")?,
-            switch: num8(v, "switch")?,
-        },
-        "circuit_broken" => TraceEvent::CircuitBroken {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-        },
-        "establish_retry" => TraceEvent::EstablishRetry {
-            circuit: num(v, "circuit")?,
-            src: num32(v, "src")?,
-            dest: num32(v, "dest")?,
-            attempt: num8(v, "attempt")?,
-        },
-        "watchdog_trip" => TraceEvent::WatchdogTrip {
-            rule: num8(v, "rule")?,
-            value: num(v, "value")?,
-            limit: num(v, "limit")?,
-        },
-        other => return Err(format!("unknown event kind `{other}`")),
-    };
+    let ev = TraceEvent::decode_kind(kind, &mut JsonSource(v))?;
     Ok(TraceRecord { at, seq, ev })
 }
 
@@ -963,39 +726,10 @@ pub fn read_jsonl_file(path: &Path) -> Result<Vec<TraceRecord>, String> {
     read_jsonl(&text)
 }
 
-fn plane_from_name(name: &str) -> Result<PlaneId, String> {
-    match name {
-        "wormhole plane" => Ok(PlaneId::Data),
-        "control plane" => Ok(PlaneId::Control),
-        "circuit plane" => Ok(PlaneId::Circuit),
-        other => Err(format!("unknown plane `{other}`")),
-    }
-}
-
 fn num(v: &Value, key: &str) -> Result<u64, String> {
     v.get(key)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
-fn num32(v: &Value, key: &str) -> Result<u32, String> {
-    u32::try_from(num(v, key)?).map_err(|_| format!("field `{key}` out of u32 range"))
-}
-
-fn num8(v: &Value, key: &str) -> Result<u8, String> {
-    u8::try_from(num(v, key)?).map_err(|_| format!("field `{key}` out of u8 range"))
-}
-
-fn flag(v: &Value, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Value::as_bool)
-        .ok_or_else(|| format!("missing or non-bool field `{key}`"))
-}
-
-fn txt<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
 }
 
 #[cfg(test)]
