@@ -34,6 +34,7 @@
 pub mod experiments;
 pub mod livestate;
 pub mod metrics;
+mod observer;
 pub mod runner;
 pub mod serve;
 pub mod table;

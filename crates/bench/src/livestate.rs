@@ -1,30 +1,29 @@
 //! The process-wide live-status board behind `--serve-metrics` and
 //! `--live-status`.
 //!
-//! Unlike the thread-local side channels ([`crate::tracecap`],
-//! [`crate::timeseries`]), the board is global: the HTTP serving thread
-//! ([`crate::serve`]) reads it while the simulation thread writes it.
-//! It is strictly read-only with respect to the run — the drive loop
-//! pushes a snapshot every 64 cycles and nothing flows back — so arming
-//! it cannot perturb the schedule, and the determinism goldens hold with
-//! the plane up.
-//!
-//! When disarmed (the default) the per-update cost is one relaxed atomic
-//! load.
+//! Unlike the per-thread observer plans ([`crate::tracecap`],
+//! [`crate::timeseries`], [`crate::watchdog`]), the board is global: the
+//! HTTP serving thread ([`crate::serve`]) reads it while the simulation
+//! thread writes it. While it is armed, every drive loop runs a publisher
+//! observer that pushes a snapshot every 64 cycles; nothing flows back,
+//! so arming it cannot perturb the schedule, and the determinism goldens
+//! hold with the plane up. A disarmed board adds no observer to a run.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use wavesim_core::WaveNetwork;
 use wavesim_sim::Cycle;
 
+use crate::observer::{Outputs, RunObserver};
+use crate::Drained;
+
 /// Cycles between recomputations of the progress rate (and between
 /// `--live-status` stderr lines).
 const RATE_WINDOW: u64 = 8192;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static ECHO: AtomicBool = AtomicBool::new(false);
+/// The armed board; `None` while disarmed.
+static BOARD: Mutex<Option<Board>> = Mutex::new(None);
 
 /// A point-in-time view of the driving run, published every 64 cycles.
 #[derive(Debug, Clone, Default)]
@@ -88,90 +87,94 @@ impl LiveStatus {
 
 struct Board {
     status: LiveStatus,
+    /// Print a status line to stderr every `RATE_WINDOW` cycles.
+    echo: bool,
     started: Instant,
     mark_cycle: Cycle,
     mark_delivered: u64,
     echoed_at: Cycle,
 }
 
-fn board() -> &'static Mutex<Board> {
-    static BOARD: OnceLock<Mutex<Board>> = OnceLock::new();
-    BOARD.get_or_init(|| {
-        Mutex::new(Board {
-            status: LiveStatus::default(),
+impl Board {
+    /// A fresh board for the run named `run`.
+    fn new(echo: bool, run: String) -> Self {
+        Self {
+            status: LiveStatus {
+                run,
+                ..LiveStatus::default()
+            },
+            echo,
             started: Instant::now(),
             mark_cycle: 0,
             mark_delivered: 0,
             echoed_at: 0,
-        })
-    })
+        }
+    }
+}
+
+fn board() -> MutexGuard<'static, Option<Board>> {
+    BOARD.lock().expect("live board poisoned")
 }
 
 /// Arms the board process-wide. With `echo`, a one-line status is
 /// printed to stderr every `RATE_WINDOW` cycles (the CLI's
 /// `--live-status`).
 pub fn arm(echo: bool) {
-    ECHO.store(echo, Ordering::Relaxed);
-    ENABLED.store(true, Ordering::Relaxed);
+    *board() = Some(Board::new(echo, String::new()));
 }
 
 /// Disarms the board; [`snapshot`] returns `None` again.
 pub fn disarm() {
-    ENABLED.store(false, Ordering::Relaxed);
-    ECHO.store(false, Ordering::Relaxed);
+    *board() = None;
 }
 
 /// The latest published status, if the board is armed.
 #[must_use]
 pub fn snapshot() -> Option<LiveStatus> {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return None;
-    }
-    Some(board().lock().expect("live board poisoned").status.clone())
+    board().as_ref().map(|b| b.status.clone())
 }
 
-/// Resets the board for a starting run (no-op when disarmed).
-pub(crate) fn install(net: &WaveNetwork) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let cfg = net.config();
-    let topo = net.topology();
-    let run = format!(
-        "{} {}-{} k={} w={} seed={}",
-        format!("{:?}", cfg.protocol).to_lowercase(),
-        match topo.kind() {
-            wavesim_topology::TopologyKind::Mesh => "mesh",
-            wavesim_topology::TopologyKind::Torus => "torus",
-        },
-        (0..topo.ndims())
-            .map(|d| topo.radix(d).to_string())
-            .collect::<Vec<_>>()
-            .join("x"),
-        cfg.k,
-        cfg.wormhole.w,
-        cfg.seed
-    );
-    let mut b = board().lock().expect("live board poisoned");
-    b.status = LiveStatus {
-        run,
-        ..LiveStatus::default()
-    };
-    b.started = Instant::now();
-    b.mark_cycle = 0;
-    b.mark_delivered = 0;
-    b.echoed_at = 0;
+/// True while the board is armed.
+pub(crate) fn armed() -> bool {
+    board().is_some()
 }
 
-/// Publishes a snapshot of `net` at `now` (no-op when disarmed). Called
-/// by the drive loop every 64 cycles.
-pub(crate) fn update(now: Cycle, net: &WaveNetwork) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
+/// The observer that publishes a driving run to the board.
+pub(crate) struct Publisher;
+
+impl RunObserver for Publisher {
+    /// Resets the board for the starting run.
+    fn start(&mut self, net: &mut WaveNetwork) {
+        let cfg = net.config();
+        let (protocol, topology) = crate::metrics::run_labels(net);
+        let run = format!(
+            "{protocol} {topology} k={} w={} seed={}",
+            cfg.k, cfg.wormhole.w, cfg.seed
+        );
+        if let Some(b) = board().as_mut() {
+            *b = Board::new(b.echo, run);
+        }
     }
+
+    fn checkpoint(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
+        publish(now, net, false);
+        false
+    }
+
+    /// Marks the run finished with a final snapshot.
+    fn finish(self: Box<Self>, net: &mut WaveNetwork, outcome: Drained, _out: &mut Outputs) {
+        publish(outcome.end, net, true);
+    }
+}
+
+/// Publishes a snapshot of `net` at `now` (no-op once disarmed).
+fn publish(now: Cycle, net: &WaveNetwork, done: bool) {
     let stats = net.stats();
     let health = net.health(now);
-    let mut b = board().lock().expect("live board poisoned");
+    let mut guard = board();
+    let Some(b) = guard.as_mut() else {
+        return;
+    };
     let s = &mut b.status;
     s.cycle = now;
     s.sent = stats.msgs_sent;
@@ -184,6 +187,7 @@ pub(crate) fn update(now: Cycle, net: &WaveNetwork) {
     s.active_routers = health.active_routers;
     s.progress_age = health.progress_age;
     s.shard_wall_ns = health.shard_wall_ns;
+    s.done = done;
     let delivered = s.delivered;
     if now >= b.mark_cycle + RATE_WINDOW {
         let dc = (now - b.mark_cycle) as f64;
@@ -195,7 +199,7 @@ pub(crate) fn update(now: Cycle, net: &WaveNetwork) {
     if elapsed > 0.0 {
         b.status.cycles_per_sec = now as f64 / elapsed;
     }
-    if ECHO.load(Ordering::Relaxed) && now >= b.echoed_at + RATE_WINDOW {
+    if b.echo && now >= b.echoed_at + RATE_WINDOW {
         b.echoed_at = now;
         let s = &b.status;
         eprintln!(
@@ -210,16 +214,6 @@ pub(crate) fn update(now: Cycle, net: &WaveNetwork) {
             s.cycles_per_sec,
         );
     }
-}
-
-/// Marks the run finished at `end` with a final snapshot (no-op when
-/// disarmed).
-pub(crate) fn finish(end: Cycle, net: &WaveNetwork) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    update(end, net);
-    board().lock().expect("live board poisoned").status.done = true;
 }
 
 #[cfg(test)]

@@ -13,6 +13,22 @@ use wavesim_trace::{TraceEvent, TraceRecord};
 
 use crate::RunResult;
 
+/// The run's protocol and topology labels, e.g. `("clrp", "mesh-4x4")`.
+pub(crate) fn run_labels(net: &WaveNetwork) -> (String, String) {
+    let topo = net.topology();
+    let kind = match topo.kind() {
+        wavesim_topology::TopologyKind::Mesh => "mesh",
+        wavesim_topology::TopologyKind::Torus => "torus",
+    };
+    let radices: Vec<String> = (0..topo.ndims())
+        .map(|d| topo.radix(d).to_string())
+        .collect();
+    (
+        format!("{:?}", net.config().protocol).to_lowercase(),
+        format!("{kind}-{}", radices.join("x")),
+    )
+}
+
 /// Renders a metrics page for a finished run. `records` (the flight
 /// recorder's surviving tail, possibly empty) feeds the latency histogram;
 /// everything else comes from the network and the run result.
@@ -29,19 +45,7 @@ pub fn metrics_snapshot(net: &WaveNetwork, r: &RunResult, records: &[TraceRecord
         }
     }
     let cfg = net.config();
-    let topo = net.topology();
-    let topology = format!(
-        "{}-{}",
-        match topo.kind() {
-            wavesim_topology::TopologyKind::Mesh => "mesh",
-            wavesim_topology::TopologyKind::Torus => "torus",
-        },
-        (0..topo.ndims())
-            .map(|d| topo.radix(d).to_string())
-            .collect::<Vec<_>>()
-            .join("x")
-    );
-    let protocol = format!("{:?}", cfg.protocol).to_lowercase();
+    let (protocol, topology) = run_labels(net);
     let mut page = MetricsPage::new();
     // Self-describing header: a scrape from this page is meaningless
     // without knowing which run produced it.

@@ -1,28 +1,36 @@
 //! Shared measurement loops.
 //!
-//! All entry points — [`run_open_loop`], [`run_carp_trace`],
-//! [`run_scripted`], [`run_request_reply`] — are thin [`Driver`]s over one
-//! shared [`drive`] skeleton: inject the cycle's workload, tick the
-//! network, collect deliveries, sample the deadlock monitor every 64
-//! cycles, stop when the source phase is over and the network drained (or
-//! the deadline/stall limit hits). They return a [`RunResult`] with the
-//! two headline metrics of the literature — mean message latency and
-//! accepted throughput — plus protocol statistics and verification
-//! verdicts.
+//! All six entry points — [`run_open_loop`], [`run_carp_trace`],
+//! [`run_scripted`], [`run_dep_trace`], [`run_request_reply`] and
+//! [`run_service`] — are thin [`Driver`]s over one shared [`drive`]
+//! skeleton: inject the cycle's workload, tick the network, let the armed
+//! observers see the cycle, collect deliveries, sample the deadlock
+//! monitor every 64 cycles, stop when the source phase is over and the
+//! network drained (or the deadline/stall limit hits). The open-loop and
+//! replay drivers return a [`RunResult`] with the two headline metrics of
+//! the literature — mean message latency and accepted throughput — plus
+//! protocol statistics and verification verdicts; the two closed-loop
+//! drivers return round-trip results.
 //!
 //! [`ParallelSweep`] fans independent sweep points out over scoped worker
 //! threads; because every point builds its own network and RNG stream from
-//! the point value alone, the merged output is byte-identical to a serial
-//! run regardless of the job count.
+//! the point value alone, the merged output — results and observer
+//! reports alike — is byte-identical to a serial run regardless of the
+//! job count.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use wavesim_core::{FaultEvent, LaneId, ProtocolKind, WaveNetwork, WaveStats};
 use wavesim_network::message::DeliveryMode;
-use wavesim_network::Delivery;
+use wavesim_network::{Delivery, Message};
 use wavesim_sim::stats::{Histogram, ThroughputMeter, Warmup};
 use wavesim_sim::Cycle;
 use wavesim_verify::progress::wave_fingerprint;
 use wavesim_verify::{check_probe_livelock, ProgressMonitor};
 use wavesim_workloads::{CarpOp, CarpTrace, DepTrace, FaultSchedule, ServiceEvent, TrafficSource};
+
+use crate::observer::{Observers, Outputs, Plan, OUTPUTS, PLAN};
 
 /// Phase lengths and safety limits of a run.
 #[derive(Debug, Clone, Copy)]
@@ -132,10 +140,13 @@ pub struct Drained {
 }
 
 /// The measurement loop shared by every `run_*` entry point. Each cycle:
-/// the driver injects, the network ticks, the driver collects, and every
-/// 64 cycles the deadlock monitor samples a state fingerprint. The loop
-/// ends when the driver's source phase is over and the network is idle
-/// (clean drain), when `deadline` passes, or when the monitor trips.
+/// the driver injects, the network ticks, the armed observers see the
+/// cycle, the driver collects, and every 64 cycles the deadlock monitor
+/// samples a state fingerprint and the observers' checkpoint runs (the
+/// observers armed on this thread, plus the live board when it is armed).
+/// The loop ends when the driver's source phase is over and the network
+/// is idle (clean drain), when `deadline` passes, or when the monitor or
+/// an observer trips.
 ///
 /// While the source phase is active the loop visits every cycle (sources
 /// are polled per cycle). During the drain phase it fast-forwards over
@@ -153,24 +164,9 @@ pub fn drive(
     stall_threshold: u64,
     driver: &mut impl Driver,
 ) -> Drained {
-    // Flight-recorder capture, time-series sampling, watchdogs, and the
-    // live-status board are thread-local/global side channels so that
-    // `RunResult` (whose Debug output is golden-hashed) stays untouched.
-    let traced = crate::tracecap::install(net);
-    let sampled = crate::timeseries::install(net);
-    let watched = crate::watchdog::install();
-    crate::livestate::install(net);
-    let outcome = drive_loop(net, deadline, stall_threshold, driver, sampled, watched);
-    crate::livestate::finish(outcome.end, net);
-    if watched {
-        crate::watchdog::finish();
-    }
-    if sampled {
-        crate::timeseries::finish(outcome.end);
-    }
-    if traced {
-        crate::tracecap::finish(net, outcome);
-    }
+    let mut observers = Observers::start(net);
+    let outcome = drive_loop(net, deadline, stall_threshold, driver, &mut observers);
+    observers.finish(net, outcome);
     outcome
 }
 
@@ -179,8 +175,7 @@ fn drive_loop(
     deadline: Cycle,
     stall_threshold: u64,
     driver: &mut impl Driver,
-    sampled: bool,
-    watched: bool,
+    observers: &mut Observers,
 ) -> Drained {
     let mut monitor = ProgressMonitor::new(stall_threshold);
     let mut now: Cycle = 0;
@@ -193,32 +188,18 @@ fn drive_loop(
             };
         }
         net.tick(now);
-        if sampled {
-            // Peek this cycle's deliveries and counters before the driver
-            // drains them; unsampled runs pay one predictable branch.
-            crate::timeseries::observe(now, net);
-        }
+        observers.cycle(now, net);
         driver.collect(now, net);
-        if now.is_multiple_of(64) {
-            if monitor
+        if now.is_multiple_of(64)
+            && (monitor
                 .observe(now, wave_fingerprint(net), net.busy())
                 .is_some()
-            {
-                return Drained {
-                    end: now,
-                    stalled: true,
-                };
-            }
-            // The observability plane rides the same 64-cycle cadence:
-            // the live-status board refreshes, and armed watchdog rules
-            // get to trip (an aborting trip ends the run as a stall).
-            crate::livestate::update(now, net);
-            if watched && crate::watchdog::observe(now, net) {
-                return Drained {
-                    end: now,
-                    stalled: true,
-                };
-            }
+                || observers.checkpoint(now, net))
+        {
+            return Drained {
+                end: now,
+                stalled: true,
+            };
         }
         now = if active {
             now + 1
@@ -261,15 +242,9 @@ impl Tally {
         }
     }
 
-    fn collect(&mut self, net: &mut WaveNetwork) {
-        self.collect_with(net, |_| {});
-    }
-
-    /// Like `collect`, but calls `each` on every drained delivery —
-    /// drivers that react to deliveries (dependency release, reply
-    /// generation) share the tally's scratch buffer instead of draining
-    /// twice.
-    fn collect_with(&mut self, net: &mut WaveNetwork, mut each: impl FnMut(&Delivery)) {
+    /// Drains and tallies the cycle's deliveries, calling `each` on every
+    /// one (the dependency replay releases dependents there).
+    fn collect(&mut self, net: &mut WaveNetwork, mut each: impl FnMut(&Delivery)) {
         let mut buf = std::mem::take(&mut self.scratch);
         net.drain_deliveries_into(&mut buf);
         for d in &buf {
@@ -358,7 +333,7 @@ pub fn run_open_loop(net: &mut WaveNetwork, src: &mut TrafficSource, spec: RunSp
             true
         }
         fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
-            self.tally.collect(net);
+            self.tally.collect(net, |_| {});
         }
     }
 
@@ -416,7 +391,7 @@ pub fn run_carp_trace(net: &mut WaveNetwork, trace: &mut CarpTrace, spec: RunSpe
             true
         }
         fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
-            self.tally.collect(net);
+            self.tally.collect(net, |_| {});
         }
     }
 
@@ -443,12 +418,12 @@ pub fn run_carp_trace(net: &mut WaveNetwork, trace: &mut CarpTrace, spec: RunSpe
 /// sorted by cycle.
 pub fn run_scripted(
     net: &mut WaveNetwork,
-    script: &[(Cycle, wavesim_network::Message)],
+    script: &[(Cycle, Message)],
     spec: RunSpec,
 ) -> RunResult {
     debug_assert!(script.windows(2).all(|w| w[0].0 <= w[1].0));
     struct Scripted<'a> {
-        script: &'a [(Cycle, wavesim_network::Message)],
+        script: &'a [(Cycle, Message)],
         horizon: Cycle,
         next: usize,
         tally: Tally,
@@ -465,7 +440,7 @@ pub fn run_scripted(
             true
         }
         fn collect(&mut self, _now: Cycle, net: &mut WaveNetwork) {
-            self.tally.collect(net);
+            self.tally.collect(net, |_| {});
         }
     }
 
@@ -502,9 +477,6 @@ pub fn run_scripted(
 /// Panics (in debug builds) on an unvalidated trace with dangling
 /// dependency ids.
 pub fn run_dep_trace(net: &mut WaveNetwork, trace: &DepTrace, spec: RunSpec) -> RunResult {
-    use std::cmp::Reverse;
-    use std::collections::{BinaryHeap, HashMap};
-
     struct DepReplay<'a> {
         trace: &'a DepTrace,
         /// Unsatisfied dependency count per trace index.
@@ -527,10 +499,7 @@ pub fn run_dep_trace(net: &mut WaveNetwork, trace: &DepTrace, spec: RunSpec) -> 
                 let m = &self.trace.messages[idx as usize].msg;
                 // Re-stamp the creation cycle at release so latency is
                 // the network's, not the dependency wait's.
-                net.send(
-                    now,
-                    wavesim_network::Message::new(m.id.0, m.src, m.dest, m.len_flits, now),
-                );
+                net.send(now, Message::new(m.id.0, m.src, m.dest, m.len_flits, now));
                 self.injected += 1;
             }
             self.injected < self.trace.len() as u64
@@ -545,7 +514,7 @@ pub fn run_dep_trace(net: &mut WaveNetwork, trace: &DepTrace, spec: RunSpec) -> 
                 tally,
                 ..
             } = self;
-            tally.collect_with(net, |d| {
+            tally.collect(net, |d| {
                 let Some(&idx) = id2idx.get(&d.msg.id.0) else {
                     return;
                 };
@@ -599,6 +568,52 @@ pub fn run_dep_trace(net: &mut WaveNetwork, trace: &DepTrace, spec: RunSpec) -> 
     d.tally.finish(net, sent, outcome)
 }
 
+/// Replies waiting out their home's service time, shared by the
+/// closed-loop drivers: a (release cycle, id) min-heap over the stored
+/// reply messages, plus the reused delivery buffer.
+#[derive(Default)]
+struct ReplyQueue {
+    pending: BinaryHeap<Reverse<(Cycle, u64)>>,
+    store: HashMap<u64, Message>,
+    scratch: Vec<Delivery>,
+}
+
+impl ReplyQueue {
+    /// Sends every reply whose service time has elapsed by `now`.
+    fn release(&mut self, now: Cycle, net: &mut WaveNetwork) {
+        while let Some(&Reverse((t, id))) = self.pending.peek() {
+            if t > now {
+                break;
+            }
+            self.pending.pop();
+            let m = self.store.remove(&id).expect("stored reply");
+            net.send(now, m);
+        }
+    }
+
+    /// Drains the cycle's deliveries through `each`, queueing the
+    /// `(send cycle, reply)` it returns.
+    fn collect(
+        &mut self,
+        net: &mut WaveNetwork,
+        mut each: impl FnMut(&Delivery) -> Option<(Cycle, Message)>,
+    ) {
+        let mut buf = std::mem::take(&mut self.scratch);
+        net.drain_deliveries_into(&mut buf);
+        for d in &buf {
+            if let Some((send_at, reply)) = each(d) {
+                self.pending.push(Reverse((send_at, reply.id.0)));
+                self.store.insert(reply.id.0, reply);
+            }
+        }
+        self.scratch = buf;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+}
+
 /// Drives a closed-loop request/reply (DSM) workload: requests inject as
 /// slots free up, deliveries generate replies after the home's service
 /// time, and the headline metric is the **round-trip** time from request
@@ -613,9 +628,7 @@ pub fn run_request_reply(
         measure_end: Cycle,
         warmup: Warmup,
         round_trips: Histogram,
-        replies_pending: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64)>>,
-        reply_store: std::collections::HashMap<u64, wavesim_network::Message>,
-        scratch: Vec<Delivery>,
+        replies: ReplyQueue,
     }
     impl Driver for ReqRep<'_> {
         fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
@@ -624,26 +637,13 @@ pub fn run_request_reply(
                     net.send(now, m);
                 }
             }
-            // Release replies whose service time elapsed.
-            while let Some(&std::cmp::Reverse((t, id))) = self.replies_pending.peek() {
-                if t > now {
-                    break;
-                }
-                self.replies_pending.pop();
-                let m = self.reply_store.remove(&id).expect("stored reply");
-                net.send(now, m);
-            }
-            now < self.measure_end || !self.replies_pending.is_empty()
+            self.replies.release(now, net);
+            now < self.measure_end || !self.replies.is_empty()
         }
         fn collect(&mut self, now: Cycle, net: &mut WaveNetwork) {
-            let mut buf = std::mem::take(&mut self.scratch);
-            net.drain_deliveries_into(&mut buf);
-            for d in &buf {
-                if let Some((send_at, reply)) = self.wl.on_delivered(d.msg.id.0, d.msg.dest, now) {
-                    self.replies_pending
-                        .push(std::cmp::Reverse((send_at, reply.id.0)));
-                    self.reply_store.insert(reply.id.0, reply);
-                } else {
+            self.replies.collect(net, |d| {
+                let reply = self.wl.on_delivered(d.msg.id.0, d.msg.dest, now);
+                if reply.is_none() {
                     // Round trip completed (recorded inside the
                     // workload); sample it if the request was issued
                     // post-warm-up.
@@ -653,8 +653,8 @@ pub fn run_request_reply(
                         }
                     }
                 }
-            }
-            self.scratch = buf;
+                reply
+            });
         }
     }
 
@@ -664,9 +664,7 @@ pub fn run_request_reply(
         measure_end,
         warmup: Warmup::new(spec.warmup),
         round_trips: Histogram::new(),
-        replies_pending: std::collections::BinaryHeap::new(),
-        reply_store: std::collections::HashMap::new(),
-        scratch: Vec::new(),
+        replies: ReplyQueue::default(),
     };
     let outcome = drive(
         net,
@@ -681,7 +679,7 @@ pub fn run_request_reply(
         p99_round_trip: d.round_trips.quantile_bound(0.99),
         wave: net.stats(),
         end: outcome.end,
-        drained: !net.busy() && d.replies_pending.is_empty(),
+        drained: !net.busy() && d.replies.is_empty(),
         stalled: outcome.stalled,
     }
 }
@@ -725,45 +723,30 @@ pub fn run_service(
         measure_end: Cycle,
         warmup: Warmup,
         round_trips: Histogram,
-        replies_pending: std::collections::BinaryHeap<std::cmp::Reverse<(Cycle, u64)>>,
-        reply_store: std::collections::HashMap<u64, wavesim_network::Message>,
-        scratch: Vec<Delivery>,
+        replies: ReplyQueue,
     }
     impl Driver for Service<'_> {
         fn inject(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
             for m in self.wl.poll(now) {
                 net.send(now, m);
             }
-            while let Some(&std::cmp::Reverse((t, id))) = self.replies_pending.peek() {
-                if t > now {
-                    break;
-                }
-                self.replies_pending.pop();
-                let m = self.reply_store.remove(&id).expect("stored reply");
-                net.send(now, m);
-            }
+            self.replies.release(now, net);
             // Poll past measure_end too: waking clients must retire (the
             // workload's stop_at gate) for the run to drain.
-            now < self.measure_end || !self.replies_pending.is_empty() || self.wl.thinking() > 0
+            now < self.measure_end || !self.replies.is_empty() || self.wl.thinking() > 0
         }
         fn collect(&mut self, now: Cycle, net: &mut WaveNetwork) {
-            let mut buf = std::mem::take(&mut self.scratch);
-            net.drain_deliveries_into(&mut buf);
-            for d in &buf {
+            self.replies.collect(net, |d| {
                 match self.wl.on_delivered(d.msg.id.0, d.msg.dest, now) {
-                    ServiceEvent::Reply(send_at, reply) => {
-                        self.replies_pending
-                            .push(std::cmp::Reverse((send_at, reply.id.0)));
-                        self.reply_store.insert(reply.id.0, reply);
-                    }
+                    ServiceEvent::Reply(send_at, reply) => Some((send_at, reply)),
                     ServiceEvent::Done { issued_at } => {
                         if self.warmup.open(issued_at) {
                             self.round_trips.record(now - issued_at);
                         }
+                        None
                     }
                 }
-            }
-            self.scratch = buf;
+            });
         }
     }
 
@@ -773,9 +756,7 @@ pub fn run_service(
         measure_end,
         warmup: Warmup::new(spec.warmup),
         round_trips: Histogram::new(),
-        replies_pending: std::collections::BinaryHeap::new(),
-        reply_store: std::collections::HashMap::new(),
-        scratch: Vec::new(),
+        replies: ReplyQueue::default(),
     };
     let outcome = drive(
         net,
@@ -791,7 +772,7 @@ pub fn run_service(
         p99_round_trip: d.round_trips.quantile_bound(0.99),
         wave: net.stats(),
         end: outcome.end,
-        drained: !net.busy() && d.replies_pending.is_empty() && d.wl.in_flight() == 0,
+        drained: !net.busy() && d.replies.is_empty() && d.wl.in_flight() == 0,
         stalled: outcome.stalled,
     }
 }
@@ -820,7 +801,10 @@ pub struct ServiceResult {
 }
 
 /// Runs one closure per sweep point across scoped worker threads and
-/// returns the results **in point order**.
+/// returns the results **in point order**. Workers run with the caller's
+/// observers armed (except the capture's extra sink), and each point's
+/// reports — captured traces, sampled series, watchdog reports — join the
+/// caller's in point order, exactly as a serial sweep files them.
 ///
 /// Determinism contract: the closure must derive everything — network,
 /// traffic source, RNG seed — from `(index, point)` alone, never from
@@ -861,15 +845,19 @@ impl ParallelSweep {
             return points.iter().enumerate().map(|(i, p)| f(i, p)).collect();
         }
         let next = std::sync::atomic::AtomicUsize::new(0);
-        let slots: std::sync::Mutex<Vec<Option<R>>> =
+        let slots: std::sync::Mutex<Vec<Option<(R, Outputs)>>> =
             std::sync::Mutex::new((0..points.len()).map(|_| None).collect());
         std::thread::scope(|s| {
             for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(p) = points.get(i) else { break };
-                    let r = f(i, p);
-                    slots.lock().unwrap()[i] = Some(r);
+                let (plan, next, slots, f) = (Plan::for_worker(), &next, &slots, &f);
+                s.spawn(move || {
+                    PLAN.set(plan);
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(p) = points.get(i) else { break };
+                        let r = f(i, p);
+                        slots.lock().unwrap()[i] = Some((r, OUTPUTS.take()));
+                    }
                 });
             }
         });
@@ -877,7 +865,11 @@ impl ParallelSweep {
             .into_inner()
             .unwrap()
             .into_iter()
-            .map(|r| r.expect("every sweep point computed"))
+            .map(|slot| {
+                let (r, outputs) = slot.expect("every sweep point computed");
+                outputs.publish();
+                r
+            })
             .collect()
     }
 }

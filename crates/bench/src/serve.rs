@@ -12,11 +12,12 @@
 //! touches the simulation, so serving cannot perturb a run's schedule or
 //! its stdout. One request per connection (HTTP/1.0, `Connection:
 //! close`), handled serially on one detached thread — a scrape target,
-//! not a web server.
+//! not a web server. Each request gets one total deadline to arrive, so a
+//! slow client cannot hold the loop.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use wavesim_json::Value;
 use wavesim_trace::metrics::MetricsPage;
@@ -45,13 +46,24 @@ pub fn serve(addr: &str) -> Result<SocketAddr, String> {
     Ok(local)
 }
 
+/// Time one request may take to arrive in full, and one reply to be
+/// written: the accept loop is serial, so a client that trickles bytes
+/// must not hold it past this.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
 fn handle(s: &mut TcpStream) -> std::io::Result<()> {
-    s.set_read_timeout(Some(Duration::from_secs(2)))?;
+    let deadline = Instant::now() + REQUEST_DEADLINE;
+    s.set_write_timeout(Some(REQUEST_DEADLINE))?;
     // Read until the header terminator (or EOF, or a full buffer): the
     // request line may arrive split across writes.
     let mut buf = [0u8; 2048];
     let mut got = 0;
     while got < buf.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        s.set_read_timeout(Some(left))?;
         let n = s.read(&mut buf[got..])?;
         if n == 0 {
             break;

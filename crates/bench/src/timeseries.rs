@@ -1,42 +1,31 @@
-//! Thread-local windowed time-series sampling for the measurement loops.
+//! Windowed time-series sampling: the sampler observer of the
+//! measurement loops.
 //!
-//! Like [`crate::tracecap`], the sampler is a side channel: the golden
-//! suite pins `RunResult`'s `Debug` output and the run schedule, so
-//! sampling must observe without perturbing. A caller [`arm_sampler`]s the
-//! thread; every subsequent [`crate::drive`] call then feeds a
-//! [`WindowSeries`] — one observation per simulated cycle (active routers,
-//! cache hit/miss deltas) plus every delivery — and the finished rows are
-//! retrieved with [`take_series`]. With `progress` set, a one-line status
-//! is printed to stderr as each window closes (the CLI's `--progress`).
-//!
-//! Worker threads spawned by [`crate::ParallelSweep`] start with unarmed
-//! thread-locals, so sampling only applies to single-job runs.
-
-use std::cell::{Cell, RefCell};
+//! A caller [`arm_sampler`]s the thread; every subsequent [`crate::drive`]
+//! call then feeds a [`WindowSeries`] — one observation per simulated
+//! cycle (active routers, cache hit/miss deltas) plus every delivery — and
+//! the finished rows are retrieved with [`take_series`]. Sampling only
+//! reads the run, so the schedule and `RunResult` are untouched. With
+//! `progress` set, a one-line status is printed to stderr as each window
+//! closes (the CLI's `--progress`).
 
 use wavesim_core::WaveNetwork;
 use wavesim_sim::stats::Histogram;
 use wavesim_sim::Cycle;
 use wavesim_trace::timeseries::{WindowRow, WindowSeries};
 
-thread_local! {
-    /// Sampling plan for runs on this thread; `None` means unsampled.
-    static PLAN: Cell<Option<SamplerPlan>> = const { Cell::new(None) };
-    /// The live sampler of the run currently driving on this thread.
-    static LIVE: RefCell<Option<LiveSampler>> = const { RefCell::new(None) };
-    /// The last finished run's series.
-    static SERIES: RefCell<Option<SampledSeries>> = const { RefCell::new(None) };
-}
+use crate::observer::{Outputs, RunObserver, OUTPUTS, PLAN};
+use crate::Drained;
 
-/// How to sample runs on this thread.
+/// How a thread samples its runs.
 #[derive(Debug, Clone, Copy)]
-struct SamplerPlan {
+pub(crate) struct SamplerPlan {
     window: u64,
     progress: bool,
 }
 
 /// A finished run's time series.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampledSeries {
     /// Closed windows, oldest first.
     pub rows: Vec<WindowRow>,
@@ -44,16 +33,6 @@ pub struct SampledSeries {
     pub nodes: u64,
     /// Window width in cycles.
     pub window: u64,
-}
-
-struct LiveSampler {
-    series: WindowSeries,
-    last_hits: u64,
-    last_misses: u64,
-    cumulative: Histogram,
-    cum_delivered: u64,
-    printed: usize,
-    progress: bool,
 }
 
 /// Arms the current thread: every subsequent [`crate::drive`] call samples
@@ -65,96 +44,86 @@ struct LiveSampler {
 /// Panics if `window` is zero.
 pub fn arm_sampler(window: u64, progress: bool) {
     assert!(window > 0, "sampling window must be positive");
-    PLAN.set(Some(SamplerPlan { window, progress }));
+    PLAN.with_borrow_mut(|p| p.sampler = Some(SamplerPlan { window, progress }));
 }
 
-/// Disarms the current thread; an already-finished series stays
-/// retrievable.
+/// Disarms the current thread; finished series stay retrievable.
 pub fn disarm_sampler() {
-    PLAN.set(None);
+    PLAN.with_borrow_mut(|p| p.sampler = None);
 }
 
-/// True when [`arm_sampler`] is in effect on this thread.
-#[must_use]
-pub fn sampler_armed() -> bool {
-    PLAN.get().is_some()
-}
-
-/// Takes the last finished run's series, if any.
+/// Takes the series sampled on this thread so far and returns the last
+/// run's, if any.
 #[must_use]
 pub fn take_series() -> Option<SampledSeries> {
-    SERIES.take()
+    OUTPUTS
+        .with_borrow_mut(|o| std::mem::take(&mut o.series))
+        .pop()
 }
 
-/// Starts sampling a run if this thread is armed. Returns whether it did.
-pub(crate) fn install(net: &WaveNetwork) -> bool {
-    let Some(plan) = PLAN.get() else {
-        return false;
-    };
-    let nodes = u64::from(net.topology().num_nodes());
-    LIVE.set(Some(LiveSampler {
-        series: WindowSeries::new(plan.window, nodes),
-        last_hits: 0,
-        last_misses: 0,
-        cumulative: Histogram::new(),
-        cum_delivered: 0,
-        printed: 0,
-        progress: plan.progress,
-    }));
-    true
+/// The sampler observer of one run.
+pub(crate) struct Sampler {
+    progress: bool,
+    series: WindowSeries,
+    last_hits: u64,
+    last_misses: u64,
+    cumulative: Histogram,
+    cum_delivered: u64,
+    printed: usize,
 }
 
-/// Per-cycle observation hook, called by the drive loop between the
-/// network tick and the driver's delivery drain.
-pub(crate) fn observe(now: Cycle, net: &WaveNetwork) {
-    LIVE.with_borrow_mut(|live| {
-        let Some(s) = live.as_mut() else {
-            return;
-        };
+impl Sampler {
+    pub(crate) fn new(plan: SamplerPlan, net: &WaveNetwork) -> Self {
+        Self {
+            progress: plan.progress,
+            series: WindowSeries::new(plan.window, u64::from(net.topology().num_nodes())),
+            last_hits: 0,
+            last_misses: 0,
+            cumulative: Histogram::new(),
+            cum_delivered: 0,
+            printed: 0,
+        }
+    }
+}
+
+impl RunObserver for Sampler {
+    /// Peeks this cycle's deliveries and counters before the driver
+    /// drains them.
+    fn cycle(&mut self, now: Cycle, net: &WaveNetwork) {
         for d in net.pending_deliveries() {
-            s.series
+            self.series
                 .record_delivery(d.delivered_at, d.latency(), u64::from(d.msg.len_flits));
-            s.cumulative.record(d.latency());
-            s.cum_delivered += 1;
+            self.cumulative.record(d.latency());
+            self.cum_delivered += 1;
         }
         let stats = net.stats();
-        let hits_delta = stats.cache_hits.saturating_sub(s.last_hits);
-        let misses_delta = stats.cache_misses.saturating_sub(s.last_misses);
-        s.last_hits = stats.cache_hits;
-        s.last_misses = stats.cache_misses;
-        s.series
+        let hits_delta = stats.cache_hits.saturating_sub(self.last_hits);
+        let misses_delta = stats.cache_misses.saturating_sub(self.last_misses);
+        self.last_hits = stats.cache_hits;
+        self.last_misses = stats.cache_misses;
+        self.series
             .observe(now, net.active_routers(), hits_delta, misses_delta);
-        if s.progress {
-            while s.printed < s.series.rows().len() {
-                let row = &s.series.rows()[s.printed];
-                s.printed += 1;
-                eprintln!(
-                    "[wavesim] cycle {:>9} | delivered {:>8} | p99 {:>8.1} | cache hit {:>5.1}%",
-                    row.end,
-                    s.cum_delivered,
-                    s.cumulative.p99().unwrap_or(0.0),
-                    row.hit_rate() * 100.0,
-                );
-            }
+        while self.progress && self.printed < self.series.rows().len() {
+            let row = &self.series.rows()[self.printed];
+            self.printed += 1;
+            eprintln!(
+                "[wavesim] cycle {:>9} | delivered {:>8} | p99 {:>8.1} | cache hit {:>5.1}%",
+                row.end,
+                self.cum_delivered,
+                self.cumulative.p99().unwrap_or(0.0),
+                row.hit_rate() * 100.0,
+            );
         }
-    });
-}
+    }
 
-/// Closes the sampler at the run's end cycle and parks the series for
-/// [`take_series`].
-pub(crate) fn finish(end: Cycle) {
-    LIVE.with_borrow_mut(|live| {
-        if let Some(s) = live.take() {
-            let nodes = s.series.nodes();
-            let window = s.series.window();
-            let rows = s.series.finish(end);
-            SERIES.set(Some(SampledSeries {
-                rows,
-                nodes,
-                window,
-            }));
-        }
-    });
+    /// Closes the series at the run's end cycle.
+    fn finish(self: Box<Self>, _net: &mut WaveNetwork, outcome: Drained, out: &mut Outputs) {
+        out.series.push(SampledSeries {
+            nodes: self.series.nodes(),
+            window: self.series.window(),
+            rows: self.series.finish(outcome.end),
+        });
+    }
 }
 
 #[cfg(test)]
@@ -216,7 +185,6 @@ mod tests {
 
     #[test]
     fn unarmed_thread_samples_nothing() {
-        assert!(!sampler_armed());
         let (_, series) = run(false);
         assert!(series.is_none());
     }

@@ -1,23 +1,20 @@
-//! Thread-local flight-recorder capture for the measurement loops.
+//! Flight-recorder capture: the trace observer (`RunObserver`) of the
+//! measurement loops.
 //!
 //! The golden-hash determinism suite pins the `Debug` output of
 //! [`crate::RunResult`], so tracing output cannot ride on the result
-//! struct. Instead the capture is a thread-local side channel: a caller
-//! [`arm_flight_recorder`]s the thread, every subsequent [`crate::drive`]
-//! call installs a fresh [`FlightRecorder`] into the network for the
-//! duration of the run, and the captured [`RunTrace`]s are retrieved with
-//! [`take_captured`]. Worker threads spawned by
-//! [`crate::ParallelSweep`] start with unarmed thread-locals, so traced
-//! sweeps must run with `jobs = 1` (the CLI enforces this).
+//! struct. Instead a caller [`arm_flight_recorder`]s its thread (and/or
+//! arms a JSONL or binary stream), every subsequent [`crate::drive`] call
+//! installs a fresh [`FlightRecorder`] into the network for the duration
+//! of the run, and the captured [`RunTrace`]s are retrieved with
+//! [`take_captured`]. [`crate::ParallelSweep`] carries the arming into its
+//! workers and returns their traces in point order.
 //!
 //! When a run trips the deadlock monitor, the capture additionally holds a
 //! post-mortem bundle: the recorder tail plus the wormhole fabric's
 //! wait-for graph (and the circular wait inside it, if one exists) at the
 //! stall cycle.
 
-use std::cell::{Cell, RefCell};
-use std::fs::File;
-use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use wavesim_core::WaveNetwork;
@@ -28,36 +25,30 @@ use wavesim_trace::recorder::TeeSink;
 use wavesim_trace::{ColumnarSink, FlightRecorder, JsonlSink, TraceRecord, TraceSink};
 use wavesim_verify::deadlock::find_wait_cycle;
 
+use crate::observer::{Outputs, RunObserver, OUTPUTS, PLAN};
 use crate::Drained;
 
 /// Ring capacity used when only a byte stream is armed: the stream is
 /// lossless on disk, so the in-memory tail only has to feed a post-mortem.
 const DEFAULT_RING: usize = 1 << 16;
 
-thread_local! {
-    /// Recorder capacity for runs on this thread; `None` means untraced.
-    static PLAN: Cell<Option<usize>> = const { Cell::new(None) };
-    /// A pending JSONL streaming sink, consumed by the next traced run.
-    static JSONL: RefCell<Option<JsonlSink<BufWriter<File>>>> = const { RefCell::new(None) };
-    /// A path re-streamed (truncating) at every run start, for sweeps.
-    static JSONL_PATH: RefCell<Option<PathBuf>> = const { RefCell::new(None) };
-    /// A pending binary columnar sink, consumed by the next traced run.
-    static BIN: RefCell<Option<ColumnarSink<BufWriter<File>>>> = const { RefCell::new(None) };
-    /// Per-run binary re-arm: path plus bulk-kind sampling divisor.
-    static BIN_PATH: RefCell<Option<(PathBuf, u64)>> = const { RefCell::new(None) };
-    /// Traces captured on this thread, in run order.
-    static CAPTURED: RefCell<Vec<RunTrace>> = const { RefCell::new(Vec::new()) };
-    /// Factory producing an extra sink teed beside the capture sinks at
-    /// every run start (the CLI installs the live-analytics fold here;
-    /// `wavesim-bench` cannot depend on `wavesim-analyze`, so the fold is
-    /// injected from above as an opaque [`TraceSink`]).
-    static EXTRA: RefCell<Option<ExtraFactory>> = const { RefCell::new(None) };
+/// Makes the extra sink of [`arm_extra_sink`], once per run.
+pub(crate) type ExtraFactory = Box<dyn FnMut() -> Box<dyn TraceSink> + Send>;
+
+/// What a thread's traced runs capture.
+#[derive(Clone, Default)]
+pub(crate) struct CapturePlan {
+    /// Flight-recorder capacity; `None` means the default ring, and only
+    /// when a stream or extra sink asks for a capture at all.
+    recorder: Option<usize>,
+    /// JSONL stream path, re-created at every run start.
+    jsonl: Option<PathBuf>,
+    /// Binary stream path and bulk-kind sampling divisor.
+    bin: Option<(PathBuf, u64)>,
 }
 
-type ExtraFactory = Box<dyn FnMut() -> Box<dyn TraceSink>>;
-
 /// One run's flight-recorder contents plus outcome metadata.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunTrace {
     /// Surviving records, oldest first.
     pub records: Vec<TraceRecord>,
@@ -71,7 +62,7 @@ pub struct RunTrace {
     pub stalled: bool,
     /// Post-mortem bundle; present only when the run stalled.
     pub post_mortem: Option<Value>,
-    /// Error from flushing an armed JSONL stream, if one occurred.
+    /// Error from creating or flushing an armed stream, if one occurred.
     pub stream_error: Option<String>,
 }
 
@@ -84,112 +75,65 @@ pub struct RunTrace {
 /// slot).
 pub fn arm_flight_recorder(capacity: usize) {
     assert!(capacity > 0, "a flight recorder needs at least one slot");
-    PLAN.set(Some(capacity));
+    PLAN.with_borrow_mut(|p| p.capture.recorder = Some(capacity));
 }
 
-/// Disarms the current thread; already-captured traces stay retrievable.
+/// Disarms the current thread's recorder; already-captured traces stay
+/// retrievable.
 pub fn disarm_flight_recorder() {
-    PLAN.set(None);
-}
-
-/// True when [`arm_flight_recorder`] is in effect on this thread.
-#[must_use]
-pub fn flight_recorder_armed() -> bool {
-    PLAN.get().is_some()
+    PLAN.with_borrow_mut(|p| p.capture.recorder = None);
 }
 
 /// Takes (and clears) the traces captured on this thread so far.
 #[must_use]
 pub fn take_captured() -> Vec<RunTrace> {
-    CAPTURED.take()
+    OUTPUTS.with_borrow_mut(|o| std::mem::take(&mut o.traces))
 }
 
-/// Arms a lossless JSONL stream to `path` for the *next* [`crate::drive`]
-/// call on this thread (one-shot: the stream is consumed by that run and
-/// flushed when it finishes). Composes with [`arm_flight_recorder`]: the
-/// ring keeps the post-mortem tail while the stream captures everything.
-///
-/// # Errors
-/// Fails if `path` cannot be created.
-pub fn arm_jsonl_stream(path: &Path) -> Result<(), String> {
-    let sink = JsonlSink::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    JSONL.set(Some(sink));
-    Ok(())
+/// Creates (truncating) `path` now, so an unwritable path fails at arm
+/// time rather than mid-sweep.
+fn created(path: &Path) -> Result<PathBuf, String> {
+    std::fs::File::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    Ok(path.to_path_buf())
 }
 
-/// True when a JSONL stream is armed and not yet consumed by a run.
-#[must_use]
-pub fn jsonl_stream_armed() -> bool {
-    JSONL.with_borrow(Option::is_some) || JSONL_PATH.with_borrow(Option::is_some)
-}
-
-/// Streams *every* subsequent [`crate::drive`] call on this thread to
-/// `path`, re-creating (truncating) the file at each run start — after a
-/// sweep the file holds the final point, mirroring how the exported
-/// flight-recorder trace keeps the last (most loaded) run. Cleared by
+/// Streams every subsequent [`crate::drive`] call on this thread to `path`
+/// as lossless JSONL, re-creating (truncating) the file at each run start:
+/// after a sweep it holds the last run, like the exported flight-recorder
+/// trace. Composes with [`arm_flight_recorder`]: the ring keeps the
+/// post-mortem tail while the stream captures everything. Cleared by
 /// [`disarm_jsonl_stream`].
 ///
 /// # Errors
 /// Fails if `path` cannot be created.
-pub fn arm_jsonl_stream_per_run(path: &Path) -> Result<(), String> {
-    // Create eagerly so an unwritable path fails here, not mid-sweep.
-    let mut probe = JsonlSink::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    probe
-        .finish()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    JSONL_PATH.set(Some(path.to_path_buf()));
+pub fn arm_jsonl_stream(path: &Path) -> Result<(), String> {
+    let path = created(path)?;
+    PLAN.with_borrow_mut(|p| p.capture.jsonl = Some(path));
     Ok(())
 }
 
-/// Clears any armed JSONL stream, one-shot or per-run.
+/// Clears the armed JSONL stream.
 pub fn disarm_jsonl_stream() {
-    JSONL.take();
-    JSONL_PATH.set(None);
+    PLAN.with_borrow_mut(|p| p.capture.jsonl = None);
 }
 
-/// Arms a binary columnar stream to `path` for the *next*
-/// [`crate::drive`] call on this thread (one-shot, like
-/// [`arm_jsonl_stream`]). `sample_every` of 0 or 1 captures losslessly;
-/// N > 1 keeps 1-in-N of the bulk kinds deterministically (see
-/// [`wavesim_trace::stream::StreamSink::with_sampling`]).
+/// The binary columnar twin of [`arm_jsonl_stream`]. `sample_every` of 0
+/// or 1 captures losslessly; N > 1 keeps 1-in-N of the bulk kinds
+/// deterministically (see
+/// [`wavesim_trace::stream::StreamSink::with_sampling`]). Cleared by
+/// [`disarm_bin_stream`].
 ///
 /// # Errors
 /// Fails if `path` cannot be created.
 pub fn arm_bin_stream(path: &Path, sample_every: u64) -> Result<(), String> {
-    let sink = ColumnarSink::create(path)
-        .map_err(|e| format!("{}: {e}", path.display()))?
-        .with_sampling(sample_every);
-    BIN.set(Some(sink));
+    let path = created(path)?;
+    PLAN.with_borrow_mut(|p| p.capture.bin = Some((path, sample_every)));
     Ok(())
 }
 
-/// Streams *every* subsequent [`crate::drive`] call on this thread to
-/// `path` as binary columnar frames, re-creating (truncating) the file at
-/// each run start — the binary twin of [`arm_jsonl_stream_per_run`].
-/// Cleared by [`disarm_bin_stream`].
-///
-/// # Errors
-/// Fails if `path` cannot be created.
-pub fn arm_bin_stream_per_run(path: &Path, sample_every: u64) -> Result<(), String> {
-    // Create eagerly so an unwritable path fails here, not mid-sweep.
-    let mut probe = ColumnarSink::create(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    probe
-        .finish()
-        .map_err(|e| format!("{}: {e}", path.display()))?;
-    BIN_PATH.set(Some((path.to_path_buf(), sample_every)));
-    Ok(())
-}
-
-/// True when a binary stream is armed and not yet consumed by a run.
-#[must_use]
-pub fn bin_stream_armed() -> bool {
-    BIN.with_borrow(Option::is_some) || BIN_PATH.with_borrow(Option::is_some)
-}
-
-/// Clears any armed binary stream, one-shot or per-run.
+/// Clears the armed binary stream.
 pub fn disarm_bin_stream() {
-    BIN.take();
-    BIN_PATH.set(None);
+    PLAN.with_borrow_mut(|p| p.capture.bin = None);
 }
 
 /// Arms an extra trace sink for *every* subsequent [`crate::drive`] call
@@ -197,100 +141,92 @@ pub fn disarm_bin_stream() {
 /// teed beside the capture sinks (the flight recorder stays the
 /// query-answering primary). The live-observability plane rides here —
 /// the CLI arms a [`wavesim-analyze`] streaming fold without
-/// `wavesim-bench` depending on that crate. Cleared by
-/// [`disarm_extra_sink`].
+/// `wavesim-bench` depending on that crate. Sweep workers do not inherit
+/// it. Cleared by [`disarm_extra_sink`].
 ///
 /// [`wavesim-analyze`]: https://docs.rs/wavesim-analyze
-pub fn arm_extra_sink(factory: impl FnMut() -> Box<dyn TraceSink> + 'static) {
-    EXTRA.set(Some(Box::new(factory)));
+pub fn arm_extra_sink(factory: impl FnMut() -> Box<dyn TraceSink> + Send + 'static) {
+    PLAN.with_borrow_mut(|p| p.extra = Some(Box::new(factory)));
 }
 
 /// Clears the extra-sink factory.
 pub fn disarm_extra_sink() {
-    EXTRA.take();
+    PLAN.with_borrow_mut(|p| p.extra = None);
 }
 
-/// True when an extra-sink factory is armed on this thread.
-#[must_use]
-pub fn extra_sink_armed() -> bool {
-    EXTRA.with_borrow(Option::is_some)
+impl CapturePlan {
+    /// The capture observer for one run, if anything is armed.
+    pub(crate) fn observer(
+        &self,
+        extra: Option<&mut ExtraFactory>,
+    ) -> Option<Box<dyn RunObserver>> {
+        let extra = extra.map(|make| make());
+        if self.recorder.is_none() && self.jsonl.is_none() && self.bin.is_none() && extra.is_none()
+        {
+            return None;
+        }
+        Some(Box::new(Capture {
+            plan: self.clone(),
+            extra,
+            stream_error: None,
+        }))
+    }
 }
 
-/// Installs a trace sink into `net` if this thread is armed: the flight
-/// recorder, optionally teed into pending JSONL and/or binary columnar
-/// streams (the recorder stays the query-answering primary through the
-/// nested tees). Returns whether a sink was installed.
-pub(crate) fn install(net: &mut WaveNetwork) -> bool {
-    let capacity = PLAN.get();
-    let jsonl = JSONL.take().or_else(|| {
-        JSONL_PATH.with_borrow(|p| {
-            let path = p.as_ref()?;
-            match JsonlSink::create(path) {
-                Ok(s) => Some(s),
+/// The capture observer: a flight recorder, optionally teed into JSONL
+/// and/or binary columnar streams and an extra sink (the recorder stays
+/// the query-answering primary through the nested tees).
+struct Capture {
+    plan: CapturePlan,
+    extra: Option<Box<dyn TraceSink>>,
+    /// The first stream that could not be created this run.
+    stream_error: Option<String>,
+}
+
+impl RunObserver for Capture {
+    fn start(&mut self, net: &mut WaveNetwork) {
+        let plan = &self.plan;
+        let ring = plan.recorder.unwrap_or(DEFAULT_RING);
+        let mut sink: Box<dyn TraceSink> = Box::new(FlightRecorder::new(ring));
+        let jsonl = plan.jsonl.as_ref().map(|path| {
+            let made = JsonlSink::create(path).map(|s| Box::new(s) as Box<dyn TraceSink>);
+            (path, made)
+        });
+        let bin = plan.bin.as_ref().map(|(path, sample)| {
+            let made = ColumnarSink::create(path)
+                .map(|s| Box::new(s.with_sampling(*sample)) as Box<dyn TraceSink>);
+            (path, made)
+        });
+        for (path, made) in [jsonl, bin].into_iter().flatten() {
+            match made {
+                Ok(s) => sink = Box::new(TeeSink::new(sink, s)),
                 Err(e) => {
-                    eprintln!("note: JSONL re-arm failed for {}: {e}", path.display());
-                    None
+                    self.stream_error
+                        .get_or_insert_with(|| format!("{}: {e}", path.display()));
                 }
             }
-        })
-    });
-    let bin = BIN.take().or_else(|| {
-        BIN_PATH.with_borrow(|p| {
-            let (path, sample) = p.as_ref()?;
-            match ColumnarSink::create(path) {
-                Ok(s) => Some(s.with_sampling(*sample)),
-                Err(e) => {
-                    eprintln!("note: binary re-arm failed for {}: {e}", path.display());
-                    None
-                }
-            }
-        })
-    });
-    let extra = EXTRA.with_borrow_mut(|f| f.as_mut().map(|make| make()));
-    if capacity.is_none() && jsonl.is_none() && bin.is_none() && extra.is_none() {
-        return false;
+        }
+        if let Some(s) = self.extra.take() {
+            sink = Box::new(TeeSink::new(sink, s));
+        }
+        net.install_trace_sink(sink);
     }
-    let mut sink: Box<dyn TraceSink> =
-        Box::new(FlightRecorder::new(capacity.unwrap_or(DEFAULT_RING)));
-    if let Some(s) = jsonl {
-        sink = Box::new(TeeSink::new(sink, Box::new(s)));
-    }
-    if let Some(s) = bin {
-        sink = Box::new(TeeSink::new(sink, Box::new(s)));
-    }
-    if let Some(s) = extra {
-        sink = Box::new(TeeSink::new(sink, s));
-    }
-    net.install_trace_sink(sink);
-    true
-}
 
-/// Removes the recorder installed by [`install`], snapshots it, and
-/// appends the [`RunTrace`] — with a post-mortem bundle when the run
-/// stalled — to this thread's capture list.
-pub(crate) fn finish(net: &mut WaveNetwork, outcome: Drained) {
-    let Some(mut sink) = net.take_trace_sink() else {
-        return;
-    };
-    let stream_error = sink.finish().err();
-    let records = sink.snapshot();
-    let dropped = sink.dropped();
-    let total = sink.total();
-    let post_mortem = outcome.stalled.then(|| {
-        let fabric = net.fabric();
-        let edges = fabric.wait_edges();
-        let cycle = find_wait_cycle(&edges);
-        let ctx = StallContext {
-            edges: &edges,
-            cycle: cycle.as_deref(),
-            now: outcome.end,
-            stall_age: fabric.progress_age(outcome.end),
-            in_flight: fabric.in_flight_flits(),
+    /// Removes the recorder, snapshots it, and files the [`RunTrace`] —
+    /// with a post-mortem bundle when the run stalled.
+    fn finish(self: Box<Self>, net: &mut WaveNetwork, outcome: Drained, out: &mut Outputs) {
+        let Some(mut sink) = net.take_trace_sink() else {
+            return;
         };
-        postmortem::bundle(&records, dropped, total, &ctx)
-    });
-    CAPTURED.with_borrow_mut(|c| {
-        c.push(RunTrace {
+        let flushed = sink.finish();
+        let stream_error = self.stream_error.or(flushed.err());
+        let records = sink.snapshot();
+        let dropped = sink.dropped();
+        let total = sink.total();
+        let post_mortem = outcome
+            .stalled
+            .then(|| post_mortem(net, &records, dropped, total, outcome.end));
+        out.traces.push(RunTrace {
             records,
             dropped,
             total,
@@ -299,7 +235,30 @@ pub(crate) fn finish(net: &mut WaveNetwork, outcome: Drained) {
             post_mortem,
             stream_error,
         });
-    });
+    }
+}
+
+/// The post-mortem bundle at `now`: the recorder tail (`records` of
+/// `total`, `dropped` overwritten) plus the wormhole fabric's wait-for
+/// graph and the circular wait inside it, if one exists.
+pub(crate) fn post_mortem(
+    net: &WaveNetwork,
+    records: &[TraceRecord],
+    dropped: u64,
+    total: u64,
+    now: Cycle,
+) -> Value {
+    let fabric = net.fabric();
+    let edges = fabric.wait_edges();
+    let cycle = find_wait_cycle(&edges);
+    let ctx = StallContext {
+        edges: &edges,
+        cycle: cycle.as_deref(),
+        now,
+        stall_age: fabric.progress_age(now),
+        in_flight: fabric.in_flight_flits(),
+    };
+    postmortem::bundle(records, dropped, total, &ctx)
 }
 
 #[cfg(test)]
@@ -381,10 +340,9 @@ mod tests {
         );
         arm_flight_recorder(64); // tiny ring: the stream must still be lossless
         arm_jsonl_stream(&path).expect("create stream");
-        assert!(jsonl_stream_armed());
         let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
         disarm_flight_recorder();
-        assert!(!jsonl_stream_armed(), "stream is one-shot");
+        disarm_jsonl_stream();
         let traces = take_captured();
         assert!(r.clean(), "{r:?}");
         assert_eq!(traces.len(), 1);
@@ -404,13 +362,13 @@ mod tests {
     }
 
     #[test]
-    fn per_run_stream_keeps_the_last_run_of_a_sweep() {
+    fn stream_keeps_the_last_run_of_a_sweep() {
         let path = std::env::temp_dir().join(format!(
             "wavesim_tracecap_per_run_{}.jsonl",
             std::process::id()
         ));
         arm_flight_recorder(1 << 16);
-        arm_jsonl_stream_per_run(&path).expect("create stream");
+        arm_jsonl_stream(&path).expect("create stream");
         let mut last_total = 0;
         for cycles in [400u64, 900] {
             let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
@@ -456,9 +414,9 @@ mod tests {
         );
         arm_jsonl_stream(&jpath).expect("create jsonl stream");
         arm_bin_stream(&bpath, 0).expect("create bin stream");
-        assert!(bin_stream_armed());
         let r = run_open_loop(&mut net, &mut src, RunSpec::standard(200, 1_000));
-        assert!(!bin_stream_armed(), "stream is one-shot");
+        disarm_jsonl_stream();
+        disarm_bin_stream();
         let traces = take_captured();
         assert!(r.clean(), "{r:?}");
         assert!(
@@ -482,7 +440,6 @@ mod tests {
 
     #[test]
     fn unarmed_thread_captures_nothing() {
-        assert!(!flight_recorder_armed());
         let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
         let mut src = TrafficSource::new(
             net.topology().clone(),
@@ -494,5 +451,43 @@ mod tests {
         );
         let _ = run_open_loop(&mut net, &mut src, RunSpec::standard(100, 500));
         assert!(take_captured().is_empty());
+    }
+
+    #[test]
+    fn failed_stream_re_creation_is_the_runs_stream_error() {
+        let dir =
+            std::env::temp_dir().join(format!("wavesim_tracecap_recreate_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        for binary in [false, true] {
+            let path = dir.join("cap");
+            if binary {
+                arm_bin_stream(&path, 1).expect("create stream");
+            } else {
+                arm_jsonl_stream(&path).expect("create stream");
+            }
+            // The path turns into a directory between arming and the run.
+            std::fs::remove_file(&path).expect("armed file exists");
+            std::fs::create_dir(&path).expect("swap in a directory");
+            let mut net = WaveNetwork::new(Topology::mesh(&[4, 4]), WaveConfig::default());
+            let mut src = TrafficSource::new(
+                net.topology().clone(),
+                TrafficConfig {
+                    load: 0.05,
+                    len: LengthDist::Fixed(16),
+                    ..TrafficConfig::default()
+                },
+            );
+            let _ = run_open_loop(&mut net, &mut src, RunSpec::standard(100, 500));
+            disarm_jsonl_stream();
+            disarm_bin_stream();
+            std::fs::remove_dir(&path).ok();
+            let traces = take_captured();
+            assert_eq!(traces.len(), 1);
+            assert!(
+                traces[0].stream_error.is_some(),
+                "binary={binary}: an unstreamed run must report its stream error"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

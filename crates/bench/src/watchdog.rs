@@ -1,10 +1,10 @@
-//! Progress-SLO watchdogs for the measurement loops.
+//! Progress-SLO watchdogs: the watchdog observer of the measurement loops.
 //!
-//! Like [`crate::tracecap`] and [`crate::timeseries`], the watchdog is a
-//! thread-local side channel observed at the drive loop's existing
-//! 64-cycle monitor point, so an unarmed run pays nothing and an armed
-//! run's schedule is untouched (the watchdog only reads, annotates the
-//! trace, and — when configured — ends the run).
+//! Like [`crate::tracecap`] and [`crate::timeseries`], the watchdog is
+//! armed per thread and observes at the drive loop's existing 64-cycle
+//! monitor point, so an unarmed run pays nothing and an armed run's
+//! schedule is untouched (the watchdog only reads, annotates the trace,
+//! and — when configured — ends the run).
 //!
 //! Four rules, each optional:
 //!
@@ -23,14 +23,15 @@
 //! configured path, and — with `abort` set — ends the run as a stall so
 //! `RunResult::clean()` is false and the CLI exits nonzero.
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 
 use wavesim_core::WaveNetwork;
 use wavesim_sim::Cycle;
-use wavesim_trace::postmortem::{self, StallContext};
 use wavesim_trace::TraceEvent;
 use wavesim_verify::deadlock::find_wait_cycle;
+
+use crate::observer::{Outputs, RunObserver, OUTPUTS, PLAN};
+use crate::Drained;
 
 /// Window over which rule 2 counts establishment retries.
 pub const RETRY_WINDOW: u64 = 4096;
@@ -39,15 +40,6 @@ pub const RETRY_WINDOW: u64 = 4096;
 /// search. Kept well under the drive loop's stall threshold so the
 /// watchdog diagnoses a deadlock before the run gives up.
 pub const DEADLOCK_AGE: u64 = 2048;
-
-thread_local! {
-    /// Rules for runs on this thread; `None` means unwatched.
-    static PLAN: RefCell<Option<WatchdogConfig>> = const { RefCell::new(None) };
-    /// The live state of the run currently driving on this thread.
-    static LIVE: RefCell<Option<State>> = const { RefCell::new(None) };
-    /// Finished runs' reports, in run order.
-    static REPORTS: RefCell<Vec<WatchdogReport>> = const { RefCell::new(Vec::new()) };
-}
 
 /// Which progress-SLO rules to arm, and what to do on a trip.
 #[derive(Debug, Clone, Default)]
@@ -97,7 +89,7 @@ pub struct Trip {
 }
 
 /// One run's watchdog outcome.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WatchdogReport {
     /// Every rule firing, in trip order.
     pub trips: Vec<Trip>,
@@ -107,7 +99,9 @@ pub struct WatchdogReport {
     pub post_mortem: Option<PathBuf>,
 }
 
-struct State {
+/// The watchdog observer of one run.
+#[derive(Default)]
+pub(crate) struct Watchdog {
     cfg: WatchdogConfig,
     last_delivered: u64,
     last_delivered_at: Cycle,
@@ -123,132 +117,94 @@ struct State {
 /// watched under `cfg`, and a [`WatchdogReport`] per run is retrievable
 /// via [`take_reports`].
 pub fn arm(cfg: WatchdogConfig) {
-    PLAN.set(Some(cfg));
+    PLAN.with_borrow_mut(|p| p.watchdog = Some(cfg));
 }
 
 /// Disarms the current thread; finished reports stay retrievable.
 pub fn disarm() {
-    PLAN.set(None);
-}
-
-/// True when [`arm`] is in effect on this thread.
-#[must_use]
-pub fn armed() -> bool {
-    PLAN.with_borrow(Option::is_some)
+    PLAN.with_borrow_mut(|p| p.watchdog = None);
 }
 
 /// Takes (and clears) the reports of runs watched on this thread.
 #[must_use]
 pub fn take_reports() -> Vec<WatchdogReport> {
-    REPORTS.take()
+    OUTPUTS.with_borrow_mut(|o| std::mem::take(&mut o.reports))
 }
 
-/// Starts watching a run if this thread is armed. Returns whether it did.
-pub(crate) fn install() -> bool {
-    let Some(cfg) = PLAN.with_borrow(Clone::clone) else {
-        return false;
-    };
-    LIVE.set(Some(State {
-        cfg,
-        last_delivered: 0,
-        last_delivered_at: 0,
-        stall_tripped: false,
-        retry_mark: 0,
-        retry_mark_at: 0,
-        imbalance_tripped: false,
-        deadlock_tripped: false,
-        report: WatchdogReport::default(),
-    }));
-    true
-}
-
-/// Parks the finished run's report for [`take_reports`].
-pub(crate) fn finish() {
-    LIVE.with_borrow_mut(|live| {
-        if let Some(s) = live.take() {
-            REPORTS.with_borrow_mut(|r| r.push(s.report));
+impl Watchdog {
+    pub(crate) fn new(cfg: WatchdogConfig) -> Self {
+        Self {
+            cfg,
+            ..Self::default()
         }
-    });
-}
-
-fn trip(s: &mut State, net: &mut WaveNetwork, now: Cycle, rule: u8, value: u64, limit: u64) {
-    net.trace_note(now, TraceEvent::WatchdogTrip { rule, value, limit });
-    s.report.trips.push(Trip {
-        rule,
-        at: now,
-        value,
-        limit,
-    });
-    if let Some(path) = s.cfg.post_mortem.clone() {
-        flush_post_mortem(s, net, now, &path);
     }
-    if s.cfg.abort {
-        s.report.aborted = true;
-    }
-}
 
-/// Writes the flight-recorder tail plus the fabric's wait-for graph to
-/// `path` (overwriting — the last trip's view wins). Failures are
-/// reported on stderr, never propagated: a watchdog must not take down
-/// the run it watches.
-fn flush_post_mortem(s: &mut State, net: &mut WaveNetwork, now: Cycle, path: &std::path::Path) {
-    let (records, dropped, total) = match net.trace_sink() {
-        Some(sink) => (sink.snapshot(), sink.dropped(), sink.total()),
-        None => (Vec::new(), 0, 0),
-    };
-    let fabric = net.fabric();
-    let edges = fabric.wait_edges();
-    let cycle = find_wait_cycle(&edges);
-    let ctx = StallContext {
-        edges: &edges,
-        cycle: cycle.as_deref(),
-        now,
-        stall_age: fabric.progress_age(now),
-        in_flight: fabric.in_flight_flits(),
-    };
-    let bundle = postmortem::bundle(&records, dropped, total, &ctx);
-    match std::fs::write(path, bundle.pretty()) {
-        Ok(()) => s.report.post_mortem = Some(path.to_path_buf()),
-        Err(e) => eprintln!(
-            "note: watchdog post-mortem write failed for {}: {e}",
-            path.display()
-        ),
+    fn trip(&mut self, net: &mut WaveNetwork, now: Cycle, rule: u8, value: u64, limit: u64) {
+        net.trace_note(now, TraceEvent::WatchdogTrip { rule, value, limit });
+        self.report.trips.push(Trip {
+            rule,
+            at: now,
+            value,
+            limit,
+        });
+        if let Some(path) = self.cfg.post_mortem.clone() {
+            self.flush_post_mortem(net, now, &path);
+        }
+        if self.cfg.abort {
+            self.report.aborted = true;
+        }
     }
-}
 
-/// The drive loop's 64-cycle observation hook. Returns `true` when a
-/// tripped rule (with `abort` set) should end the run.
-pub(crate) fn observe(now: Cycle, net: &mut WaveNetwork) -> bool {
-    LIVE.with_borrow_mut(|live| {
-        let Some(s) = live.as_mut() else {
-            return false;
+    /// Writes the flight-recorder tail plus the fabric's wait-for graph to
+    /// `path` (overwriting — the last trip's view wins). Failures are
+    /// reported on stderr, never propagated: a watchdog must not take down
+    /// the run it watches.
+    fn flush_post_mortem(&mut self, net: &mut WaveNetwork, now: Cycle, path: &std::path::Path) {
+        let (records, dropped, total) = match net.trace_sink() {
+            Some(sink) => (sink.snapshot(), sink.dropped(), sink.total()),
+            None => (Vec::new(), 0, 0),
         };
+        let bundle = crate::tracecap::post_mortem(net, &records, dropped, total, now);
+        match std::fs::write(path, bundle.pretty()) {
+            Ok(()) => self.report.post_mortem = Some(path.to_path_buf()),
+            Err(e) => eprintln!(
+                "note: watchdog post-mortem write failed for {}: {e}",
+                path.display()
+            ),
+        }
+    }
+}
+
+impl RunObserver for Watchdog {
+    /// Evaluates the armed rules; `true` when a trip (with `abort` set)
+    /// should end the run.
+    fn checkpoint(&mut self, now: Cycle, net: &mut WaveNetwork) -> bool {
         let stats = net.stats();
         let delivered = stats.msgs_circuit + stats.msgs_wormhole;
-        if delivered > s.last_delivered {
-            s.last_delivered = delivered;
-            s.last_delivered_at = now;
-            s.stall_tripped = false;
-            s.deadlock_tripped = false;
-        } else if let Some(limit) = s.cfg.stall_cycles {
-            let age = now - s.last_delivered_at;
-            if age >= limit && !s.stall_tripped {
-                s.stall_tripped = true;
-                trip(s, net, now, 1, age, limit);
+        if delivered > self.last_delivered {
+            self.last_delivered = delivered;
+            self.last_delivered_at = now;
+            self.stall_tripped = false;
+            self.deadlock_tripped = false;
+        } else if let Some(limit) = self.cfg.stall_cycles {
+            let age = now - self.last_delivered_at;
+            if age >= limit && !self.stall_tripped {
+                self.stall_tripped = true;
+                self.trip(net, now, 1, age, limit);
             }
         }
-        if let Some(limit) = s.cfg.retry_limit {
-            if now - s.retry_mark_at >= RETRY_WINDOW {
-                let burst = stats.establish_retries - s.retry_mark;
-                s.retry_mark = stats.establish_retries;
-                s.retry_mark_at = now;
+        if let Some(limit) = self.cfg.retry_limit {
+            if now - self.retry_mark_at >= RETRY_WINDOW {
+                let burst = stats.establish_retries - self.retry_mark;
+                self.retry_mark = stats.establish_retries;
+                self.retry_mark_at = now;
                 if burst > limit {
-                    trip(s, net, now, 2, burst, limit);
+                    self.trip(net, now, 2, burst, limit);
                 }
             }
         }
-        if let Some(ratio) = s.cfg.imbalance {
-            if !s.imbalance_tripped {
+        if let Some(ratio) = self.cfg.imbalance {
+            if !self.imbalance_tripped {
                 let walls = net.fabric().shard_wall_ns();
                 let total: u64 = walls.iter().sum();
                 // Sub-millisecond totals are all noise; wait for signal.
@@ -256,25 +212,29 @@ pub(crate) fn observe(now: Cycle, net: &mut WaveNetwork) -> bool {
                     let mean = total as f64 / walls.len() as f64;
                     let max = walls.iter().copied().max().unwrap_or(0) as f64;
                     if max > ratio * mean {
-                        s.imbalance_tripped = true;
+                        self.imbalance_tripped = true;
                         let pct = (max / mean * 100.0) as u64;
-                        trip(s, net, now, 3, pct, (ratio * 100.0) as u64);
+                        self.trip(net, now, 3, pct, (ratio * 100.0) as u64);
                     }
                 }
             }
         }
-        if s.cfg.deadlock && !s.deadlock_tripped {
+        if self.cfg.deadlock && !self.deadlock_tripped {
             let fabric = net.fabric();
             if fabric.progress_age(now) >= DEADLOCK_AGE && fabric.in_flight_flits() > 0 {
                 let edges = fabric.wait_edges();
                 if let Some(cycle) = find_wait_cycle(&edges) {
-                    s.deadlock_tripped = true;
-                    trip(s, net, now, 4, cycle.len() as u64, 0);
+                    self.deadlock_tripped = true;
+                    self.trip(net, now, 4, cycle.len() as u64, 0);
                 }
             }
         }
-        s.report.aborted
-    })
+        self.report.aborted
+    }
+
+    fn finish(self: Box<Self>, _net: &mut WaveNetwork, _outcome: Drained, out: &mut Outputs) {
+        out.reports.push(self.report);
+    }
 }
 
 #[cfg(test)]

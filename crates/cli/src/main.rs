@@ -64,8 +64,11 @@
 //! Chrome/Perfetto `trace_event` JSON of the run (plus `FILE.postmortem.json`
 //! when the run stalls), `--metrics-out FILE` (run only) writes a
 //! Prometheus-style metrics page, `--flight-recorder N` sizes the in-memory
-//! ring buffer (default 65536 records). Tracing forces `--jobs 1`: the
-//! flight recorder is thread-local, and sweep workers are untraced.
+//! ring buffer (default 65536 records). Sweep workers run with the same
+//! observers armed (recorder, watchdogs), so `--jobs N` captures and
+//! watches every point exactly as `--jobs 1`; only the flags that write one
+//! file per run (`--trace-jsonl`, `--trace-bin`, `--watch-postmortem`)
+//! force `--jobs 1`, because two workers would truncate the file at once.
 //!
 //! Analytics: `--trace-jsonl FILE` (`run` and experiments) streams the
 //! *complete* event record to JSONL with bounded memory (nothing the
@@ -688,10 +691,35 @@ fn watchdog_config(args: &Args) -> wavesim_bench::watchdog::WatchdogConfig {
     }
 }
 
-/// Arms the live-status board and (with `--serve-metrics`) binds the HTTP
-/// endpoint. Everything the plane emits goes to stderr or the socket, so
-/// stdout stays byte-identical to an unserved run.
-fn arm_live_plane(args: &Args) -> bool {
+/// Arms the observers `run` and the experiments share: the flight
+/// recorder (when `recorder`), the JSONL and binary streams (each
+/// re-created at every run start), the watchdog rules, and the live board
+/// with (for `--serve-metrics`) its HTTP endpoint. Everything the live
+/// plane emits goes to stderr or the socket, so stdout stays
+/// byte-identical to an unserved run. Returns `false` when a stream path
+/// or the endpoint cannot be set up.
+fn arm_observers(args: &Args, recorder: bool) -> bool {
+    if recorder {
+        tracecap::arm_flight_recorder(args.flight_recorder);
+    }
+    if let Some(path) = &args.trace_jsonl {
+        if let Err(e) = tracecap::arm_jsonl_stream(std::path::Path::new(path)) {
+            eprintln!("error: cannot stream to {path}: {e}");
+            return false;
+        }
+    }
+    if let Some(path) = &args.trace_bin {
+        if let Err(e) = tracecap::arm_bin_stream(std::path::Path::new(path), args.trace_sample) {
+            eprintln!("error: cannot stream to {path}: {e}");
+            return false;
+        }
+    } else if args.trace_sample > 1 {
+        eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
+    }
+    let watch = watchdog_config(args);
+    if watch.any() {
+        wavesim_bench::watchdog::arm(watch);
+    }
     if args.live_status || args.serve_metrics.is_some() {
         wavesim_bench::livestate::arm(args.live_status);
     }
@@ -704,6 +732,27 @@ fn arm_live_plane(args: &Args) -> bool {
                 eprintln!("error: --serve-metrics {addr}: {e}");
                 return false;
             }
+        }
+    }
+    true
+}
+
+/// Reports the armed streams of the captured run `t`; `false` when one
+/// failed.
+fn report_streams(args: &Args, t: &tracecap::RunTrace) -> bool {
+    for (kind, path) in [("JSONL", &args.trace_jsonl), ("binary", &args.trace_bin)] {
+        let Some(path) = path else { continue };
+        if let Some(e) = &t.stream_error {
+            eprintln!("error: {kind} stream {path}: {e}");
+            return false;
+        }
+        if kind == "binary" && args.trace_sample > 1 {
+            println!(
+                "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
+                t.total, args.trace_sample
+            );
+        } else {
+            println!("wrote {kind} stream: {path} ({} records)", t.total);
         }
     }
     true
@@ -811,22 +860,11 @@ fn custom_run(args: &Args) -> bool {
         || args.trace_jsonl.is_some()
         || args.trace_bin.is_some();
     let sampling = args.timeseries_out.is_some() || args.progress.is_some();
-    if tracing {
-        tracecap::arm_flight_recorder(args.flight_recorder);
-    }
-    if let Some(path) = &args.trace_jsonl {
-        if let Err(e) = tracecap::arm_jsonl_stream(std::path::Path::new(path)) {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    }
-    if let Some(path) = &args.trace_bin {
-        if let Err(e) = tracecap::arm_bin_stream(std::path::Path::new(path), args.trace_sample) {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    } else if args.trace_sample > 1 {
-        eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
+    // A post-mortem bundle carries the flight recorder's tail, so make
+    // sure one is recording even when no export flag armed it.
+    let recorder = tracing || (args.watch_postmortem.is_some() && watchdog_config(args).any());
+    if !arm_observers(args, recorder) {
+        return false;
     }
     if sampling {
         // --progress doubles as the status cadence and the window width,
@@ -836,19 +874,7 @@ fn custom_run(args: &Args) -> bool {
             args.progress.is_some(),
         );
     }
-    let watch = watchdog_config(args);
-    if watch.any() {
-        // A post-mortem bundle carries the flight recorder's tail, so make
-        // sure one is recording even when no export flag armed it.
-        if watch.post_mortem.is_some() && !tracing {
-            tracecap::arm_flight_recorder(args.flight_recorder);
-        }
-        wavesim_bench::watchdog::arm(watch);
-    }
-    if !arm_live_plane(args) {
-        return false;
-    }
-    let live_handle = if args.live_analyze {
+    let live_handle = args.live_analyze.then(|| {
         let (handle, sink) = wavesim_analyze::live_sink(wavesim_analyze::AnalyzeOptions {
             window: args.window,
             top_k: args.top,
@@ -859,10 +885,8 @@ fn custom_run(args: &Args) -> bool {
         tracecap::arm_extra_sink(move || {
             Box::new(slot.take().expect("one live-analytics sink per run"))
         });
-        Some(handle)
-    } else {
-        None
-    };
+        handle
+    });
     let outcome = if let Some(trace) = &replay {
         RunOutcome::Flat(wavesim_bench::run_dep_trace(
             &mut net,
@@ -910,14 +934,9 @@ fn custom_run(args: &Args) -> bool {
             RunSpec::standard(warmup, args.cycles),
         ))
     };
-    if wavesim_bench::watchdog::armed() {
-        wavesim_bench::watchdog::disarm();
-    }
     let watchdog_aborted = print_watchdog_reports();
     let counters = if sampling {
-        wavesim_bench::timeseries::disarm_sampler();
-        let series = wavesim_bench::timeseries::take_series();
-        let Some(series) = series else {
+        let Some(series) = wavesim_bench::timeseries::take_series() else {
             eprintln!("error: sampler produced no series");
             return false;
         };
@@ -933,35 +952,10 @@ fn custom_run(args: &Args) -> bool {
         Vec::new()
     };
     if tracing {
-        tracecap::disarm_flight_recorder();
         let traces = tracecap::take_captured();
         let t = traces.last().expect("traced run captured");
-        if let Some(path) = &args.trace_jsonl {
-            match &t.stream_error {
-                None => println!("wrote JSONL stream: {path} ({} records)", t.total),
-                Some(e) => {
-                    eprintln!("error: JSONL stream {path}: {e}");
-                    return false;
-                }
-            }
-        }
-        if let Some(path) = &args.trace_bin {
-            match &t.stream_error {
-                None => {
-                    if args.trace_sample > 1 {
-                        println!(
-                            "wrote binary stream: {path} ({} records emitted, bulk kinds sampled 1-in-{})",
-                            t.total, args.trace_sample
-                        );
-                    } else {
-                        println!("wrote binary stream: {path} ({} records)", t.total);
-                    }
-                }
-                Some(e) => {
-                    eprintln!("error: binary stream {path}: {e}");
-                    return false;
-                }
-            }
+        if !report_streams(args, t) {
+            return false;
         }
         if let Some(path) = &args.trace_out {
             if !export_trace(path, t, counters) {
@@ -1064,7 +1058,6 @@ fn custom_run(args: &Args) -> bool {
         if ok { "CLEAN" } else { "CHECK FAILED" }
     );
     if let Some(handle) = &live_handle {
-        tracecap::disarm_extra_sink();
         match wavesim_analyze::take_analysis(handle) {
             Some(a) => {
                 println!();
@@ -1218,9 +1211,12 @@ fn analyze_cmd(args: &Args) -> bool {
 fn run_experiments(ids: &[&str], scale: Scale, json: bool, jobs: usize, args: &Args) -> bool {
     let tracing =
         args.trace_out.is_some() || args.trace_jsonl.is_some() || args.trace_bin.is_some();
-    let watch = watchdog_config(args);
-    let jobs = if (tracing || watch.any()) && jobs > 1 {
-        eprintln!("note: tracing and watchdogs force --jobs 1 (both are thread-local)");
+    let per_run_file =
+        args.trace_jsonl.is_some() || args.trace_bin.is_some() || args.watch_postmortem.is_some();
+    let jobs = if per_run_file && jobs > 1 {
+        eprintln!(
+            "note: per-run capture files force --jobs 1 (workers would truncate them at once)"
+        );
         1
     } else {
         jobs
@@ -1231,32 +1227,8 @@ fn run_experiments(ids: &[&str], scale: Scale, json: bool, jobs: usize, args: &A
     if args.live_analyze {
         eprintln!("note: --live-analyze applies to `run` only; ignored for experiments");
     }
-    if !arm_live_plane(args) {
+    if !arm_observers(args, tracing) {
         return false;
-    }
-    if watch.any() {
-        wavesim_bench::watchdog::arm(watch);
-    }
-    if tracing {
-        tracecap::arm_flight_recorder(args.flight_recorder);
-    }
-    if let Some(path) = &args.trace_jsonl {
-        // Re-streamed per run: after the sweep the file holds the last
-        // point, matching the flight-recorder export below.
-        if let Err(e) = tracecap::arm_jsonl_stream_per_run(std::path::Path::new(path)) {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    }
-    if let Some(path) = &args.trace_bin {
-        if let Err(e) =
-            tracecap::arm_bin_stream_per_run(std::path::Path::new(path), args.trace_sample)
-        {
-            eprintln!("error: cannot stream to {path}: {e}");
-            return false;
-        }
-    } else if tracing && args.trace_sample > 1 {
-        eprintln!("note: --trace-sample applies to --trace-bin only; ignored");
     }
     for id in ids {
         for table in experiments::run_by_id_with_jobs(id, scale, jobs) {
@@ -1267,37 +1239,15 @@ fn run_experiments(ids: &[&str], scale: Scale, json: bool, jobs: usize, args: &A
             }
         }
     }
-    if wavesim_bench::watchdog::armed() {
-        wavesim_bench::watchdog::disarm();
-    }
     let watchdog_aborted = print_watchdog_reports();
     if tracing {
-        tracecap::disarm_flight_recorder();
-        tracecap::disarm_jsonl_stream();
-        tracecap::disarm_bin_stream();
-        let traces = tracecap::take_captured();
         // Experiments drive many runs; export the last one (for sweeps
         // this is the highest point — the most loaded, most interesting
-        // trace).
-        match traces.last() {
+        // trace). The streams were re-created per run and hold it too.
+        match tracecap::take_captured().last() {
             Some(t) => {
-                if let Some(path) = &args.trace_jsonl {
-                    match &t.stream_error {
-                        None => println!("wrote JSONL stream: {path} ({} records)", t.total),
-                        Some(e) => {
-                            eprintln!("error: JSONL stream {path}: {e}");
-                            return false;
-                        }
-                    }
-                }
-                if let Some(path) = &args.trace_bin {
-                    match &t.stream_error {
-                        None => println!("wrote binary stream: {path} ({} records)", t.total),
-                        Some(e) => {
-                            eprintln!("error: binary stream {path}: {e}");
-                            return false;
-                        }
-                    }
+                if !report_streams(args, t) {
+                    return false;
                 }
                 if let Some(path) = &args.trace_out {
                     if !export_trace(path, t, Vec::new()) {

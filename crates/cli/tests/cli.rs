@@ -40,6 +40,40 @@ fn experiment_json_output_is_valid() {
     assert!(v["rows"].as_array().unwrap().len() >= 2);
 }
 
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Pins the stdout of the whole small suite (all 15 experiments), and
+/// requires `--jobs 4` to print the same bytes. To re-pin after an
+/// intentional change, run `wavesim all --scale small` and hash it.
+#[test]
+fn small_suite_output_is_pinned_at_any_job_count() {
+    let suite = |jobs: &str| {
+        let out = wavesim()
+            .args(["all", "--scale", "small", "--jobs", jobs])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let one = suite("1");
+    assert_eq!(
+        fnv1a(&one),
+        0x3bc0_6ba2_6566_2db3,
+        "small-suite stdout changed:\n{}",
+        String::from_utf8_lossy(&one)
+    );
+    assert!(one == suite("4"), "--jobs 4 must print the same bytes");
+}
+
 #[test]
 fn custom_run_reports_clean() {
     let out = wavesim()

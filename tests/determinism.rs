@@ -201,6 +201,47 @@ fn e14_fault_schedule_table_is_identical_across_job_counts() {
     assert_eq!(serial.rows, four.rows, "--jobs 4 must not change the table");
 }
 
+/// Observers ride along into sweep workers: with the flight recorder and
+/// a stall watchdog armed, `--jobs 4` yields the same table, the same
+/// captured trace of every run in point order, and the same watchdog
+/// reports as `--jobs 1`.
+#[test]
+fn observers_see_every_sweep_point_at_any_job_count() {
+    use wavesim_bench::{tracecap, watchdog};
+    let scale = Scale {
+        side: 4,
+        measure: 2_000,
+        warmup: 500,
+        sweep_points: 3,
+    };
+    let observed = |jobs| {
+        tracecap::arm_flight_recorder(1 << 12);
+        watchdog::arm(watchdog::WatchdogConfig {
+            stall_cycles: Some(64),
+            ..watchdog::WatchdogConfig::default()
+        });
+        let table = e14_dynamic_faults::run_with_jobs(scale, jobs);
+        tracecap::disarm_flight_recorder();
+        watchdog::disarm();
+        (
+            table.rows,
+            tracecap::take_captured(),
+            watchdog::take_reports(),
+        )
+    };
+    let (rows1, traces1, reports1) = observed(1);
+    let (rows4, traces4, reports4) = observed(4);
+    assert!(traces1.len() >= 3, "one trace per run: {}", traces1.len());
+    assert_eq!(traces1.len(), reports1.len());
+    assert!(
+        reports1.iter().any(|r| !r.trips.is_empty()),
+        "the stall rule should trip somewhere in the sweep"
+    );
+    assert_eq!(rows1, rows4, "--jobs 4 must not change the table");
+    assert!(traces1 == traces4, "--jobs 4 must capture every run alike");
+    assert_eq!(reports1, reports4, "--jobs 4 must watch every run alike");
+}
+
 // ---------------------------------------------------------------------
 // Golden traces pinned against the seed (pre-active-set) cycle kernel.
 //

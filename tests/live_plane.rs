@@ -155,6 +155,36 @@ fn endpoint_serves_armed_board_over_http() {
 }
 
 #[test]
+fn trickling_client_cannot_hold_the_endpoint() {
+    use std::time::{Duration, Instant};
+    let addr = serve::serve("127.0.0.1:0").expect("bind");
+    // A client that sends one byte every half second and never finishes
+    // its request line; it gives up after 12 s or once the server hangs up.
+    let mut slow = TcpStream::connect(addr).expect("connect");
+    let trickler = std::thread::spawn(move || {
+        for b in b"GET /status HTTP/1.0 Host: slow".iter().take(24) {
+            if slow.write_all(&[*b]).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(500));
+        }
+    });
+    std::thread::sleep(Duration::from_millis(200));
+    let t0 = Instant::now();
+    let mut c = TcpStream::connect(addr).expect("connect");
+    c.write_all(b"GET / HTTP/1.0\r\n\r\n").expect("send");
+    let mut out = String::new();
+    c.read_to_string(&mut out).expect("read");
+    let waited = t0.elapsed();
+    trickler.join().expect("trickler");
+    assert!(out.starts_with("HTTP/1.0 200"), "{out}");
+    assert!(
+        waited < Duration::from_secs(6),
+        "a trickling client held the accept loop for {waited:?}"
+    );
+}
+
+#[test]
 fn live_fold_matches_offline_analyze_across_shards() {
     let _guard = lock_plane();
     let mut reports = Vec::new();
